@@ -7,7 +7,7 @@
 //! midtier. For every public function with a `deadline`/`timeout`
 //! parameter (exact name or `_deadline`/`_timeout` suffix), each
 //! nested RPC-shaped call (`call`, `scatter`, `call_*`, `scatter_*`,
-//! and the batch-path entry points `issue` and `handle_batch`) must
+//! and the many-request entry points `issue` and `handle_batch`) must
 //! mention the parameter — or a value derived from it — in its
 //! arguments.
 //!
@@ -40,11 +40,11 @@ fn is_deadline_param(name: &str) -> bool {
         || name.ends_with("_timeout")
 }
 
-/// `true` for callee names that issue a nested RPC. The batch request
-/// path adds two shapes: `issue` (the merged-scatter entry point that
-/// buffers a sub-call into a per-leaf envelope) and `handle_batch` (the
-/// handoff of a whole batch to a leaf kernel). Both carry many requests
-/// per call, so an unbounded one loses *every* member's budget at once.
+/// `true` for callee names that issue a nested RPC. Two more shapes
+/// carry many requests per call: `issue` (an entry point that hands
+/// sub-calls on to a fan-out) and `handle_batch` (the handoff of a whole
+/// batch to a leaf kernel), so an unbounded one loses *every* member's
+/// budget at once.
 fn is_rpc_call(name: &str) -> bool {
     name == "call"
         || name == "scatter"

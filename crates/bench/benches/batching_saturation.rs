@@ -1,28 +1,31 @@
 //! Fig. 9 analog for the batching axis — saturation throughput of the
-//! RPC substrate with batches vs single requests as the unit of work.
+//! RPC substrate with batches vs single requests as the server's unit of
+//! work.
 //!
-//! Closed-loop clients drive an echo server to saturation three ways:
-//! unbatched (the pre-batching request path), and with `BatchPolicy`
-//! {max_size 8, 50 µs} and {max_size 32, 50 µs}. Batched arms issue
-//! multi-request frames (`call_batch_async`), and the server drains the
-//! dispatch queue batch-at-a-time (`pop_batch`), so the whole
-//! wire→queue→worker path is exercised at batch granularity. The
-//! acceptance bar for the batching tentpole is the batched arms
-//! sustaining ≥ 1.5x the unbatched saturation throughput, at a
-//! recorded (bounded) p99 cost, with the server's batch-occupancy and
-//! flush-reason counters printed alongside.
+//! Windowed closed-loop clients drive an echo server to saturation: each
+//! connection keeps a constant window of individual requests outstanding
+//! (`call_async_opts`), issuing the next as soon as one completes. The
+//! same load runs against three server policies: unbatched
+//! (`BatchPolicy::off()`, a batch of one), and `BatchPolicy` {max_size 8,
+//! 50 µs} and {max_size 32, 50 µs}, where workers drain the dispatch
+//! queue batch-at-a-time (`pop_batch`). Batches form only from requests
+//! that happen to be queued together, so the arms differ in the server
+//! alone. The server's batch-occupancy and flush-reason counters are
+//! printed alongside.
 //!
 //! Run: `cargo bench -p musuite-bench --bench batching_saturation`
 
 use musuite_bench::BenchEnv;
 use musuite_rpc::{
-    BatchCall, BatchPolicy, ExecutionModel, RequestContext, RpcClient, Server, ServerConfig,
-    Service,
+    BatchPolicy, ExecutionModel, Priority, RequestContext, RpcClient, Server, ServerConfig, Service,
 };
 use musuite_telemetry::report::Table;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Requests each connection keeps outstanding.
+const WINDOW: usize = 8;
 
 struct Echo;
 impl Service for Echo {
@@ -39,11 +42,14 @@ struct ArmReport {
     batching: String,
 }
 
-/// One closed-loop measurement: `conns` connections, each issuing
-/// windows of `batch` echo requests back-to-back for `duration`.
-/// Returns (completed requests per second, window p50, window p99) —
-/// a window's latency upper-bounds every member's.
-fn run_at(addr: std::net::SocketAddr, conns: usize, batch: usize, duration: Duration) -> (f64, Duration, Duration) {
+/// One closed-loop measurement: `conns` connections, each keeping
+/// [`WINDOW`] echo requests outstanding for `duration`. Returns
+/// (completed requests per second, request p50, request p99).
+fn run_at(
+    addr: std::net::SocketAddr,
+    conns: usize,
+    duration: Duration,
+) -> (f64, Duration, Duration) {
     let stop = Arc::new(AtomicBool::new(false));
     let completed = Arc::new(AtomicU64::new(0));
     let latencies: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
@@ -55,29 +61,29 @@ fn run_at(addr: std::net::SocketAddr, conns: usize, batch: usize, duration: Dura
         handles.push(std::thread::spawn(move || {
             let client = RpcClient::connect(addr).expect("connect load client");
             let payload = vec![0u8; 64];
+            let (tx, rx) = mpsc::channel();
+            let issue = || {
+                let tx = tx.clone();
+                let sent = Instant::now();
+                client.call_async_opts(1, payload.clone(), None, Priority::Normal, move |r| {
+                    tx.send((sent, r.is_ok())).ok();
+                });
+            };
+            for _ in 0..WINDOW {
+                issue();
+            }
             let mut local = Vec::new();
             while !stop.load(Ordering::Relaxed) {
-                let start = Instant::now();
-                if batch <= 1 {
-                    client.call(1, payload.clone()).expect("echo");
-                } else {
-                    let (tx, rx) = mpsc::channel();
-                    let calls: Vec<BatchCall> = (0..batch)
-                        .map(|_| {
-                            let tx = tx.clone();
-                            BatchCall::new(1, payload.clone(), move |r| {
-                                tx.send(r.is_ok()).ok();
-                            })
-                        })
-                        .collect();
-                    client.call_batch_async(calls);
-                    for _ in 0..batch {
-                        assert!(rx.recv().expect("batch member resolves"), "member failed");
-                    }
-                }
-                local.push(start.elapsed());
-                completed.fetch_add(batch as u64, Ordering::Relaxed);
+                let (sent, ok) = rx.recv().expect("request resolves");
+                assert!(ok, "echo failed");
+                local.push(sent.elapsed());
+                issue();
             }
+            // Drain the window so no callback outlives the client.
+            for _ in 0..WINDOW {
+                rx.recv().expect("request resolves");
+            }
+            completed.fetch_add(local.len() as u64, Ordering::Relaxed);
             latencies.lock().expect("latency sink").extend(local);
         }));
     }
@@ -97,19 +103,15 @@ fn run_at(addr: std::net::SocketAddr, conns: usize, batch: usize, duration: Dura
 
 /// Ramps concurrency until throughput flattens (the Fig. 9 protocol)
 /// and returns the best point plus the server's batch counters.
-fn saturate(policy: BatchPolicy, batch: usize, duration: Duration) -> ArmReport {
+fn saturate(policy: BatchPolicy, duration: Duration) -> ArmReport {
     let mut config = ServerConfig::default();
     config.execution_model(ExecutionModel::Dispatch).workers(4).batch_policy(policy);
     let server = Server::spawn(config, Arc::new(Echo)).expect("spawn echo server");
-    let mut best = ArmReport {
-        qps: 0.0,
-        p50: Duration::ZERO,
-        p99: Duration::ZERO,
-        batching: String::new(),
-    };
+    let mut best =
+        ArmReport { qps: 0.0, p50: Duration::ZERO, p99: Duration::ZERO, batching: String::new() };
     let mut conns = 4usize;
     while conns <= 64 {
-        let (qps, p50, p99) = run_at(server.local_addr(), conns, batch, duration);
+        let (qps, p50, p99) = run_at(server.local_addr(), conns, duration);
         if qps <= best.qps * 1.05 {
             break; // the knee is behind us
         }
@@ -127,27 +129,27 @@ fn main() {
     let env = BenchEnv::from_env();
     let duration = env.duration();
     println!(
-        "\nBatching axis: echo saturation, batched vs single-request unit of work \
-         ({}s per ramp step)\n",
+        "\nBatching axis: echo saturation, server-side batched vs single-request \
+         unit of work ({WINDOW} requests outstanding per connection, {}s per ramp step)\n",
         env.secs
     );
     let arms = [
-        ("off", BatchPolicy::off(), 1usize),
-        ("8 x 50us", BatchPolicy::new(8, Duration::from_micros(50)), 8),
-        ("32 x 50us", BatchPolicy::new(32, Duration::from_micros(50)), 32),
+        ("off", BatchPolicy::off()),
+        ("8 x 50us", BatchPolicy::new(8, Duration::from_micros(50))),
+        ("32 x 50us", BatchPolicy::new(32, Duration::from_micros(50))),
     ];
     let mut table = Table::new(&[
         "batch policy",
         "saturation QPS",
         "vs off",
-        "window p50_us",
-        "window p99_us",
+        "p50_us",
+        "p99_us",
         "server batches",
     ]);
     let mut baseline = 0.0f64;
-    for (label, policy, batch) in arms {
-        let report = saturate(policy, batch, duration);
-        if batch == 1 {
+    for (label, policy) in arms {
+        let report = saturate(policy, duration);
+        if !policy.is_on() {
             baseline = report.qps;
         }
         let us = |d: Duration| format!("{:.1}", d.as_secs_f64() * 1e6);

@@ -129,7 +129,7 @@ fn bench_fanout(c: &mut Criterion) {
         b.iter(|| {
             let requests: Vec<(usize, u32, Vec<u8>)> =
                 (0..4).map(|leaf| (leaf, 1u32, vec![0u8; 64])).collect();
-            black_box(group_clients.scatter_wait(requests))
+            black_box(group_clients.scatter_wait(requests, None, Priority::Normal))
         })
     });
 }

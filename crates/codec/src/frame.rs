@@ -81,12 +81,6 @@ pub enum FrameKind {
     Response = 1,
     /// A one-way notification (no response expected).
     OneWay = 2,
-    /// A multi-request envelope: the payload is a [`crate::batch`]
-    /// envelope carrying several sub-requests, each with its own id,
-    /// method, deadline budget, and priority. Responses come back as
-    /// individual [`FrameKind::Response`] frames correlated by
-    /// sub-request id.
-    Batch = 3,
 }
 
 impl FrameKind {
@@ -95,7 +89,6 @@ impl FrameKind {
             0 => Ok(FrameKind::Request),
             1 => Ok(FrameKind::Response),
             2 => Ok(FrameKind::OneWay),
-            3 => Ok(FrameKind::Batch),
             _ => Err(DecodeError::InvalidDiscriminant { value, context: "FrameKind" }),
         }
     }
@@ -616,12 +609,16 @@ mod tests {
 
     #[test]
     fn bad_kind_and_status_rejected() {
-        let mut bytes = sample().to_bytes();
-        bytes[6] = 9; // kind byte
-        assert!(matches!(
-            Frame::parse(&Bytes::from(bytes)),
-            Err(DecodeError::InvalidDiscriminant { context: "FrameKind", .. })
-        ));
+        // 3 was the retired multi-request envelope kind; peers may still
+        // send it, and it must be refused like any other unknown kind.
+        for kind in [3u8, 9] {
+            let mut bytes = sample().to_bytes();
+            bytes[6] = kind; // kind byte
+            assert!(matches!(
+                Frame::parse(&Bytes::from(bytes)),
+                Err(DecodeError::InvalidDiscriminant { context: "FrameKind", .. })
+            ));
+        }
         let mut bytes = sample().to_bytes();
         bytes[19..23].copy_from_slice(&99u32.to_le_bytes()); // status field
         assert!(matches!(

@@ -25,14 +25,12 @@
 //! # Ok::<(), musuite_codec::DecodeError>(())
 //! ```
 
-pub mod batch;
 pub mod decode;
 pub mod encode;
 pub mod error;
 pub mod frame;
 pub mod wire;
 
-pub use batch::{batch_frame, decode_batch, encode_batch, BatchEntry};
 pub use bytes::BufMut;
 pub use decode::Decode;
 pub use encode::Encode;

@@ -157,7 +157,7 @@ impl Cluster {
                 })))
             }
         };
-        let group = FanoutGroup::connect_with_plan_via(
+        let group = FanoutGroup::connect_with(
             &addrs,
             config.conns_per_leaf_count(),
             config.fault_plan.as_ref(),
@@ -227,6 +227,14 @@ impl Cluster {
     }
 }
 
+impl Drop for Cluster {
+    /// Tears down front to back, as [`Cluster::shutdown`] does, before the
+    /// servers' own drops join their threads.
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
@@ -293,11 +301,17 @@ impl<Req: Encode, Resp: Decode> TypedClient<Req, Resp> {
     where
         F: FnOnce(Result<Resp, RpcError>) + Send + 'static,
     {
-        self.client.call_async(self.method, musuite_codec::to_bytes(request), move |result| {
-            callback(result.and_then(|bytes| {
-                musuite_codec::from_bytes::<Resp>(&bytes).map_err(RpcError::from)
-            }));
-        });
+        self.client.call_async_opts(
+            self.method,
+            musuite_codec::to_bytes(request),
+            None,
+            Priority::Normal,
+            move |result| {
+                callback(result.and_then(|bytes| {
+                    musuite_codec::from_bytes::<Resp>(&bytes).map_err(RpcError::from)
+                }));
+            },
+        );
     }
 
     /// Asynchronous variant of [`TypedClient::call_typed_opts`].

@@ -242,7 +242,13 @@ mod tests {
                 1 => musuite_codec::to_bytes(&u64::MAX),
                 _ => vec![0x80], // truncated varint
             };
-            client.call_async(1, payload, move |result| tx.send((i, result)).unwrap());
+            client.call_async_opts(
+                1,
+                payload,
+                None,
+                musuite_rpc::Priority::Normal,
+                move |result| tx.send((i, result)).unwrap(),
+            );
         }
         drop(tx);
         let mut outcomes = 0;

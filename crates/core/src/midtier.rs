@@ -239,7 +239,7 @@ impl<H: MidTierHandler> Service for MidTierService<H> {
         let priority = ctx.priority();
         // The worker thread issues the fan-out and returns to the pool;
         // the last response thread runs this closure.
-        self.fanout.scatter_opts(calls, remaining, priority, move |result| {
+        self.fanout.scatter(calls, remaining, priority, move |result| {
             // Fan-out stage = plan + issue + completion dispatch, excluding
             // the time spent waiting on the leaves themselves.
             let fanout_ns =

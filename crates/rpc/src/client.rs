@@ -1,28 +1,32 @@
-//! The RPC client: synchronous calls and asynchronous, callback-completed
-//! calls with explicit in-flight state.
+//! The RPC client: one asynchronous, callback-completed call primitive
+//! with explicit in-flight state, and a thin blocking wrapper over it.
 //!
 //! Each client owns one TCP connection whose responses are picked up by
 //! either a dedicated **response pick-up thread** (the paper's "resp.
-//! pick-up thread: `<block>`" in Fig. 8, via [`RpcClient::connect`]) or a
-//! **shared reactor** ([`RpcClient::connect_via`]) that sweeps many
-//! client connections from a fixed poller pool — so a wide fan-out does
-//! not cost one thread per leaf. Either way, arriving responses are
-//! matched to in-flight requests through a shared table keyed by request
-//! id, and either wake the synchronous caller or run the asynchronous
-//! completion callback in place. Many threads may issue calls on one
-//! client concurrently; requests are multiplexed on the connection.
+//! pick-up thread: `<block>`" in Fig. 8) or a **shared reactor** that
+//! sweeps many client connections from a fixed poller pool — so a wide
+//! fan-out does not cost one thread per leaf. [`RpcClient::connect_with`]
+//! picks between them. Either way, arriving responses are matched to
+//! in-flight requests through a shared table keyed by request id and run
+//! the call's completion callback in place. Many threads may issue calls
+//! on one client concurrently; requests are multiplexed on the
+//! connection.
+//!
+//! [`RpcClient::call_async_opts`] is the only request path: it registers
+//! the callback, arms the call's deadline, and sends through the fault
+//! shim. [`RpcClient::call_opts`] and [`RpcClient::call`] block on a
+//! one-shot slot that the same callback fills.
 //!
 //! Response payloads are [`Bytes`] slices of the pick-up thread's pooled
 //! read buffer — they travel from the socket to the caller without being
 //! copied. Requests are [`Payload`]s, so a fan-out can share one encoded
 //! prefix across many calls by reference count instead of deep copy.
 //!
-//! In-flight hygiene: synchronous deadline waits use an absolute deadline
-//! (spurious wakeups cannot extend the timeout), and asynchronous calls
-//! may register a deadline with a lazily-spawned reaper thread that fails
-//! overdue entries with [`RpcError::TimedOut`] and removes them from the
-//! in-flight table — without it, a leaf that never responds would leak
-//! its table entry and callback forever.
+//! In-flight hygiene: a call with a deadline registers it with a
+//! lazily-spawned reaper thread that fails the overdue entry with
+//! [`RpcError::TimedOut`] and removes it from the in-flight table —
+//! without it, a leaf that never responds would leak its table entry and
+//! callback forever.
 
 use crate::buf::{ConnWriter, Payload};
 use crate::error::RpcError;
@@ -32,7 +36,6 @@ use bytes::Bytes;
 use musuite_check::atomic::{AtomicBool, AtomicU64, Ordering};
 use musuite_check::sync::{Condvar, Mutex};
 use musuite_check::thread::{Builder, JoinHandle};
-use musuite_codec::batch::{BatchEntry, ENTRY_HEADER_LEN};
 use musuite_codec::frame::FrameHeader;
 use musuite_codec::{Frame, FrameKind, Priority, Status};
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
@@ -43,23 +46,20 @@ use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Completion callback for [`RpcClient::call_async`]; runs on the response
-/// pick-up thread.
+/// Completion callback for [`RpcClient::call_async_opts`]; runs on the
+/// response pick-up thread (or the reaper, for a deadline).
 pub type Callback = Box<dyn FnOnce(Result<Bytes, RpcError>) + Send + 'static>;
 
-enum Pending {
-    Sync(Arc<SyncSlot>),
-    Async(Callback),
-}
-
-struct SyncSlot {
+/// The blocking wrapper's rendezvous: the call's callback fills it once
+/// and the caller parks on it until then.
+struct OneShot {
     result: CountedMutex<Option<Result<Bytes, RpcError>>>,
     ready: CountedCondvar,
 }
 
-impl SyncSlot {
-    fn new() -> Arc<SyncSlot> {
-        Arc::new(SyncSlot { result: CountedMutex::new(None), ready: CountedCondvar::new() })
+impl OneShot {
+    fn new() -> Arc<OneShot> {
+        Arc::new(OneShot { result: CountedMutex::new(None), ready: CountedCondvar::new() })
     }
 
     fn complete(&self, result: Result<Bytes, RpcError>) {
@@ -67,35 +67,18 @@ impl SyncSlot {
         self.ready.notify_one();
     }
 
-    fn wait(&self, timeout: Option<Duration>) -> Result<Bytes, RpcError> {
-        // The deadline is absolute: a spurious wakeup re-waits only for
-        // the *remaining* time instead of restarting the full timeout.
-        let deadline = timeout.map(|limit| Instant::now() + limit);
+    fn wait(&self) -> Result<Bytes, RpcError> {
         let mut guard = self.result.lock();
         loop {
             if let Some(result) = guard.take() {
                 return result;
             }
-            match deadline {
-                None => self.ready.wait(&mut guard),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(RpcError::TimedOut);
-                    }
-                    if self.ready.wait_for(&mut guard, deadline - now) {
-                        // Timed out at the deadline. One final take: a
-                        // completion that raced the timeout still wins,
-                        // so a delivered response is never discarded.
-                        return guard.take().unwrap_or(Err(RpcError::TimedOut));
-                    }
-                }
-            }
+            self.ready.wait(&mut guard);
         }
     }
 }
 
-type InflightTable = Arc<CountedMutex<HashMap<u64, Pending>>>;
+type InflightTable = Arc<CountedMutex<HashMap<u64, Callback>>>;
 
 /// Min-heap of `(fire time, request id)` shared with the reaper thread;
 /// entries are deadlines to enforce or fault-injected sends to release.
@@ -115,60 +98,6 @@ type DelayedMap = Arc<Mutex<HashMap<u64, DelayedSend>>>;
 
 type SharedWriter = Arc<ConnWriter>;
 
-fn complete(pending: Pending, result: Result<Bytes, RpcError>) {
-    match pending {
-        Pending::Sync(slot) => slot.complete(result),
-        Pending::Async(callback) => callback(result),
-    }
-}
-
-/// One sub-call of a [`RpcClient::call_batch_async`] envelope: a method,
-/// payload, optional per-member deadline and priority, and the callback
-/// that receives this member's individual response.
-pub struct BatchCall {
-    method: u32,
-    payload: Payload,
-    timeout: Option<Duration>,
-    priority: Priority,
-    callback: Callback,
-}
-
-impl BatchCall {
-    /// A sub-call with no deadline and [`Priority::Normal`].
-    pub fn new<F>(method: u32, payload: impl Into<Payload>, callback: F) -> BatchCall
-    where
-        F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
-    {
-        BatchCall {
-            method,
-            payload: payload.into(),
-            timeout: None,
-            priority: Priority::Normal,
-            callback: Box::new(callback),
-        }
-    }
-
-    /// Sets this member's deadline and priority class; both travel in the
-    /// member's entry header inside the batch envelope, so the server's
-    /// admission gate and dequeue-expiry act on each member individually.
-    pub fn with_opts(mut self, timeout: Option<Duration>, priority: Priority) -> BatchCall {
-        self.timeout = timeout;
-        self.priority = priority;
-        self
-    }
-}
-
-impl std::fmt::Debug for BatchCall {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchCall")
-            .field("method", &self.method)
-            .field("payload_len", &self.payload.len())
-            .field("timeout", &self.timeout)
-            .field("priority", &self.priority)
-            .finish_non_exhaustive()
-    }
-}
-
 /// Remaining-budget wire encoding of an absolute deadline, computed at
 /// the moment the frame leaves so queueing before the send decays it:
 /// `None` encodes as 0 (no deadline); an already-expired deadline floors
@@ -183,9 +112,10 @@ fn budget_for(deadline: Option<Instant>) -> u32 {
     }
 }
 
-/// Serializes and writes one request frame; shared by the caller-side send
-/// path and the reaper's delayed-send release (which is why the budget is
-/// derived from the absolute deadline here, at the last moment).
+/// Serializes and writes one frame; shared by the call path, the
+/// reaper's delayed-send release (which is why the budget is derived
+/// from the absolute deadline here, at the last moment), and one-way
+/// notifications.
 #[allow(clippy::too_many_arguments)]
 fn write_frame(
     writer: &SharedWriter,
@@ -215,45 +145,6 @@ fn write_frame(
     Ok(())
 }
 
-/// One registered sub-call of a batch send: `(request_id, method, payload,
-/// deadline, priority)`.
-type BatchMeta = (u64, u32, Payload, Option<Instant>, Priority);
-
-/// Serializes and writes one [`FrameKind::Batch`] frame carrying every
-/// sub-call in `calls` as a multi-request envelope. Per-member deadline
-/// budgets are derived from the absolute deadlines here, at the last
-/// moment before the frame leaves, exactly like [`write_frame`] does for
-/// single requests.
-fn write_batch_frame(
-    writer: &SharedWriter,
-    closed: &AtomicBool,
-    calls: &[BatchMeta],
-) -> Result<(), RpcError> {
-    if closed.load(Ordering::Acquire) {
-        return Err(RpcError::ConnectionClosed);
-    }
-    let count = (calls.len() as u32).to_le_bytes();
-    let mut entry_headers: Vec<[u8; ENTRY_HEADER_LEN]> = Vec::with_capacity(calls.len());
-    for (request_id, method, payload, deadline, priority) in calls {
-        let entry = BatchEntry::new(*request_id, *method, Bytes::new())
-            .with_budget(budget_for(*deadline), *priority);
-        entry_headers.push(entry.header_bytes_for_len(payload.len()));
-    }
-    // Assemble the scatter list: count word, then each member's entry
-    // header followed by its payload segments — all borrowed, so the
-    // whole envelope coalesces into the connection's pending buffer
-    // without joining the payloads first.
-    let mut parts: Vec<&[u8]> = Vec::with_capacity(1 + calls.len() * 3);
-    parts.push(&count);
-    for ((_, _, payload, _, _), entry_header) in calls.iter().zip(&entry_headers) {
-        parts.push(entry_header);
-        parts.extend(payload.parts());
-    }
-    let header = FrameHeader::new(FrameKind::Batch, 0, 0, Status::Ok);
-    writer.write_parts(&header, &parts)?;
-    Ok(())
-}
-
 /// A connection to one RPC server.
 ///
 /// # Examples
@@ -280,57 +171,23 @@ impl RpcClient {
     ///
     /// Returns an error if the connection cannot be established.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<RpcClient, RpcError> {
-        RpcClient::connect_with(addr, None)
+        RpcClient::connect_with(addr, None, None)
     }
 
-    /// As [`RpcClient::connect`], attaching a per-leaf fault-injection
-    /// view. An armed plan may refuse the connect outright or perturb
-    /// subsequent sends; with `None` this is exactly [`RpcClient::connect`].
+    /// Connects to `addr`, optionally attaching a per-leaf fault-injection
+    /// view and a shared [`Reactor`]. An armed plan may refuse the connect
+    /// outright or perturb subsequent sends. With a reactor, responses are
+    /// picked up by its sweep instead of a dedicated thread: a fan-out
+    /// registers all of its leaf connections (and their hedge/alternate
+    /// replacements) with one reactor, so the client-side network thread
+    /// count is the reactor's fixed poller count regardless of fan-out
+    /// width. `connect_with(addr, None, None)` is [`RpcClient::connect`].
     ///
     /// # Errors
     ///
-    /// Returns an error if the connection cannot be established or the
-    /// fault plan refuses it.
+    /// Returns an error if the connection cannot be established, the
+    /// fault plan refuses it, or the reactor is shutting down.
     pub fn connect_with<A: ToSocketAddrs>(
-        addr: A,
-        faults: Option<ClientFaults>,
-    ) -> Result<RpcClient, RpcError> {
-        RpcClient::connect_inner(addr, faults, None)
-    }
-
-    /// Connects to `addr` with responses picked up by a shared
-    /// [`Reactor`] instead of a dedicated thread. A fan-out registers all
-    /// of its leaf connections (and their hedge/alternate replacements)
-    /// with one reactor, so the client-side network thread count is the
-    /// reactor's fixed poller count regardless of fan-out width.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the connection cannot be established or the
-    /// reactor is shutting down.
-    pub fn connect_via<A: ToSocketAddrs>(
-        addr: A,
-        reactor: &Arc<Reactor>,
-    ) -> Result<RpcClient, RpcError> {
-        RpcClient::connect_inner(addr, None, Some(reactor))
-    }
-
-    /// As [`RpcClient::connect_via`], attaching a per-leaf fault-injection
-    /// view (the reactor-mode analogue of [`RpcClient::connect_with`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`RpcClient::connect_via`], or if the fault plan refuses the
-    /// connect.
-    pub fn connect_with_via<A: ToSocketAddrs>(
-        addr: A,
-        faults: Option<ClientFaults>,
-        reactor: &Arc<Reactor>,
-    ) -> Result<RpcClient, RpcError> {
-        RpcClient::connect_inner(addr, faults, Some(reactor))
-    }
-
-    fn connect_inner<A: ToSocketAddrs>(
         addr: A,
         faults: Option<ClientFaults>,
         reactor: Option<&Arc<Reactor>>,
@@ -391,28 +248,6 @@ impl RpcClient {
         self.closed.load(Ordering::Acquire)
     }
 
-    fn send_request(
-        &self,
-        request_id: u64,
-        method: u32,
-        kind: FrameKind,
-        payload: &Payload,
-        deadline: Option<Instant>,
-        priority: Priority,
-    ) -> Result<(), RpcError> {
-        write_frame(
-            &self.writer,
-            &self.closed,
-            request_id,
-            method,
-            kind,
-            payload,
-            deadline,
-            priority,
-            false,
-        )
-    }
-
     /// Sends a request through the fault shim. With no plan attached (the
     /// production path) this is a plain send; otherwise the plan may delay
     /// the frame (parked in `delayed`, released by the reaper), swallow it
@@ -428,15 +263,9 @@ impl RpcClient {
         priority: Priority,
     ) -> Result<(), RpcError> {
         let fault = self.faults.as_ref().and_then(ClientFaults::next_send_fault);
-        match fault {
-            None | Some(FaultKind::ConnectRefused) => self.send_request(
-                request_id,
-                method,
-                FrameKind::Request,
-                payload,
-                deadline,
-                priority,
-            ),
+        let corrupt = match fault {
+            None | Some(FaultKind::ConnectRefused) => false,
+            Some(FaultKind::Corrupt) => true,
             Some(FaultKind::Delay(delay)) => {
                 if self.is_closed() {
                     return Err(RpcError::ConnectionClosed);
@@ -450,7 +279,7 @@ impl RpcClient {
                     DelayedSend { send_at, method, payload: payload.clone(), deadline, priority },
                 );
                 self.schedule(send_at, request_id);
-                Ok(())
+                return Ok(());
             }
             Some(FaultKind::Stall) => {
                 // The request is registered in flight but never leaves the
@@ -460,27 +289,28 @@ impl RpcClient {
                 if self.is_closed() {
                     return Err(RpcError::ConnectionClosed);
                 }
-                Ok(())
+                return Ok(());
             }
             Some(FaultKind::Disconnect) => {
                 self.shutdown();
-                Err(RpcError::ConnectionClosed)
+                return Err(RpcError::ConnectionClosed);
             }
-            Some(FaultKind::Corrupt) => write_frame(
-                &self.writer,
-                &self.closed,
-                request_id,
-                method,
-                FrameKind::Request,
-                payload,
-                deadline,
-                priority,
-                true,
-            ),
-        }
+        };
+        write_frame(
+            &self.writer,
+            &self.closed,
+            request_id,
+            method,
+            FrameKind::Request,
+            payload,
+            deadline,
+            priority,
+            corrupt,
+        )
     }
 
-    /// Issues a blocking call and waits for the response payload.
+    /// Issues a blocking call and waits for the response payload;
+    /// `call(m, p)` is `call_opts(m, p, None, Priority::Normal)`.
     ///
     /// # Errors
     ///
@@ -488,33 +318,17 @@ impl RpcClient {
     /// [`RpcError::ConnectionClosed`] if the connection drops mid-call, or
     /// an I/O error from the send path.
     pub fn call(&self, method: u32, payload: impl Into<Payload>) -> Result<Bytes, RpcError> {
-        self.call_with_timeout(method, payload.into(), None, Priority::Normal)
-    }
-
-    /// Issues a blocking call that fails with [`RpcError::TimedOut`] if no
-    /// response arrives within `timeout`.
-    ///
-    /// # Errors
-    ///
-    /// As [`RpcClient::call`], plus [`RpcError::TimedOut`].
-    pub fn call_deadline(
-        &self,
-        method: u32,
-        payload: impl Into<Payload>,
-        timeout: Duration,
-    ) -> Result<Bytes, RpcError> {
-        self.call_with_timeout(method, payload.into(), Some(timeout), Priority::Normal)
+        self.call_opts(method, payload, None, Priority::Normal)
     }
 
     /// Issues a blocking call with an optional deadline and an explicit
-    /// priority class. The deadline travels on the wire as a remaining
-    /// budget (decayed at each hop) and the priority drives the server's
-    /// admission gate; `call_opts(m, p, None, Priority::Normal)` is
-    /// exactly [`RpcClient::call`].
+    /// priority class: [`RpcClient::call_async_opts`] with the caller
+    /// parked on a one-shot slot until the callback fills it.
     ///
     /// # Errors
     ///
-    /// As [`RpcClient::call_deadline`].
+    /// As [`RpcClient::call`], plus [`RpcError::TimedOut`] if no response
+    /// arrives within `timeout`.
     pub fn call_opts(
         &self,
         method: u32,
@@ -522,73 +336,24 @@ impl RpcClient {
         timeout: Option<Duration>,
         priority: Priority,
     ) -> Result<Bytes, RpcError> {
-        self.call_with_timeout(method, payload.into(), timeout, priority)
+        let slot = OneShot::new();
+        let filler = slot.clone();
+        self.call_async_opts(method, payload, timeout, priority, move |result| {
+            filler.complete(result)
+        });
+        slot.wait()
     }
 
-    fn call_with_timeout(
-        &self,
-        method: u32,
-        payload: Payload,
-        timeout: Option<Duration>,
-        priority: Priority,
-    ) -> Result<Bytes, RpcError> {
-        let deadline = timeout.map(|limit| Instant::now() + limit);
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let slot = SyncSlot::new();
-        self.inflight.lock().insert(request_id, Pending::Sync(slot.clone()));
-        if let Err(e) = self.dispatch(request_id, method, &payload, deadline, priority) {
-            self.inflight.lock().remove(&request_id);
-            return Err(e);
-        }
-        let result = slot.wait(timeout);
-        if matches!(result, Err(RpcError::TimedOut)) {
-            // Deregister so a timed-out call cannot leak its table entry;
-            // a response racing this removal lands in the `None` arm of
-            // the pick-up thread's match and is dropped.
-            self.inflight.lock().remove(&request_id);
-        }
-        result
-    }
-
-    /// Issues an asynchronous call; `callback` runs on the response
-    /// pick-up thread when the response (or a connection failure) arrives.
+    /// Issues an asynchronous call; `callback` runs exactly once, on the
+    /// response pick-up thread when the response (or a connection failure)
+    /// arrives, on the reaper thread if `timeout` passes first (with
+    /// [`RpcError::TimedOut`]), or on the calling thread if the send fails.
     ///
     /// This is the mid-tier's leaf-request primitive: the calling worker
     /// returns immediately and "proceeds to process successive requests"
-    /// (paper §IV) while RPC state lives in the in-flight table.
-    pub fn call_async<F>(&self, method: u32, payload: impl Into<Payload>, callback: F)
-    where
-        F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
-    {
-        self.call_async_inner(method, payload.into(), None, Priority::Normal, Box::new(callback));
-    }
-
-    /// As [`RpcClient::call_async`], but the callback is guaranteed to run
-    /// within roughly `timeout`: if no response arrives in time, a reaper
-    /// thread removes the in-flight entry and invokes the callback with
-    /// [`RpcError::TimedOut`]. This is what bounds a scatter against a
-    /// stuck leaf.
-    pub fn call_async_deadline<F>(
-        &self,
-        method: u32,
-        payload: impl Into<Payload>,
-        timeout: Duration,
-        callback: F,
-    ) where
-        F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
-    {
-        self.call_async_inner(
-            method,
-            payload.into(),
-            Some(timeout),
-            Priority::Normal,
-            Box::new(callback),
-        );
-    }
-
-    /// As [`RpcClient::call_async_deadline`] with an optional deadline and
-    /// an explicit priority class; both travel in the request frame header
-    /// so the server's admission gate and dequeue-expiry can act on them.
+    /// (paper §IV) while RPC state lives in the in-flight table. The
+    /// deadline travels on the wire as a remaining budget (decayed at
+    /// each hop) and the priority drives the server's admission gate.
     pub fn call_async_opts<F>(
         &self,
         method: u32,
@@ -599,79 +364,19 @@ impl RpcClient {
     ) where
         F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
     {
-        self.call_async_inner(method, payload.into(), timeout, priority, Box::new(callback));
-    }
-
-    fn call_async_inner(
-        &self,
-        method: u32,
-        payload: Payload,
-        timeout: Option<Duration>,
-        priority: Priority,
-        callback: Callback,
-    ) {
+        let payload = payload.into();
         let deadline = timeout.map(|limit| Instant::now() + limit);
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.inflight.lock().insert(request_id, Pending::Async(callback));
+        self.inflight.lock().insert(request_id, Box::new(callback));
         if let Some(when) = deadline {
             self.schedule(when, request_id);
         }
         if let Err(e) = self.dispatch(request_id, method, &payload, deadline, priority) {
-            if let Some(Pending::Async(cb)) = self.inflight.lock().remove(&request_id) {
-                cb(Err(e));
-            }
-        }
-    }
-
-    /// Issues several asynchronous calls as **one** multi-request
-    /// [`FrameKind::Batch`] frame: one header write, one (coalesced)
-    /// socket write, one server-side decode fan-in. Each member keeps its
-    /// own in-flight entry, deadline, priority, and callback — responses
-    /// come back as individual frames correlated by sub-request id, so
-    /// callbacks fire per member exactly as with [`RpcClient::call_async`].
-    ///
-    /// An empty vector is a no-op and a single-element vector falls back
-    /// to the plain request path (the envelope would only add overhead).
-    /// Fault injection ([`ClientFaults`]) applies to the unbatched path
-    /// only; batch envelopes are sent directly.
-    pub fn call_batch_async(&self, calls: Vec<BatchCall>) {
-        if calls.is_empty() {
-            return;
-        }
-        if calls.len() == 1 {
-            // lint: allow(expect): length is checked immediately above
-            let call = calls.into_iter().next().expect("len checked above");
-            self.call_async_inner(
-                call.method,
-                call.payload,
-                call.timeout,
-                call.priority,
-                call.callback,
-            );
-            return;
-        }
-        // Register every member before the envelope leaves so a fast
-        // response cannot miss its in-flight entry.
-        let mut metas: Vec<BatchMeta> = Vec::with_capacity(calls.len());
-        for call in calls {
-            let deadline = call.timeout.map(|limit| Instant::now() + limit);
-            let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            self.inflight.lock().insert(request_id, Pending::Async(call.callback));
-            if let Some(when) = deadline {
-                self.schedule(when, request_id);
-            }
-            metas.push((request_id, call.method, call.payload, deadline, call.priority));
-        }
-        if let Err(e) = write_batch_frame(&self.writer, &self.closed, &metas) {
-            // A failed envelope write fails every member. The original
-            // error is reported once; the rest see ConnectionClosed
-            // (io::Error is not Clone, and a writer failure means the
-            // connection is done for).
-            let mut first = Some(e);
-            for (request_id, ..) in &metas {
-                if let Some(Pending::Async(cb)) = self.inflight.lock().remove(request_id) {
-                    cb(Err(first.take().unwrap_or(RpcError::ConnectionClosed)));
-                }
+            // The entry may already be gone: a connection failure racing
+            // this send completes it through `fail_all_inflight`.
+            let pending = self.inflight.lock().remove(&request_id);
+            if let Some(callback) = pending {
+                callback(Err(e));
             }
         }
     }
@@ -699,7 +404,8 @@ impl RpcClient {
     /// state is kept, and the server invokes [`Service::notify`] instead
     /// of a request handler. Used for fire-and-forget telemetry such as
     /// click tracking — one of the microservice roles the paper's
-    /// introduction lists.
+    /// introduction lists. Fault rules act on requests only, so the frame
+    /// is written directly.
     ///
     /// [`Service::notify`]: crate::service::Service::notify
     ///
@@ -707,7 +413,17 @@ impl RpcClient {
     ///
     /// Returns send-path errors only; delivery is not acknowledged.
     pub fn notify(&self, method: u32, payload: impl Into<Payload>) -> Result<(), RpcError> {
-        self.send_request(0, method, FrameKind::OneWay, &payload.into(), None, Priority::Normal)
+        write_frame(
+            &self.writer,
+            &self.closed,
+            0,
+            method,
+            FrameKind::OneWay,
+            &payload.into(),
+            None,
+            Priority::Normal,
+            false,
+        )
     }
 
     /// Number of calls awaiting responses.
@@ -766,19 +482,19 @@ fn deliver_response(inflight: &InflightTable, frame: Frame) {
         })
     };
     // A `None` here means we raced with a timeout removal.
-    if let Some(pending) = pending {
-        complete(pending, result);
+    if let Some(callback) = pending {
+        callback(result);
     }
 }
 
 /// Fails everything still in flight; called once when the connection dies.
 fn fail_all_inflight(inflight: &InflightTable) {
-    let drained: Vec<Pending> = {
+    let drained: Vec<Callback> = {
         let mut table = inflight.lock();
-        table.drain().map(|(_, pending)| pending).collect()
+        table.drain().map(|(_, callback)| callback).collect()
     };
-    for pending in drained {
-        complete(pending, Err(RpcError::ConnectionClosed));
+    for callback in drained {
+        callback(Err(RpcError::ConnectionClosed));
     }
 }
 
@@ -902,13 +618,17 @@ fn spawn_reaper_thread(
                             hold.priority,
                             false,
                         ) {
-                            if let Some(pending) = inflight.lock().remove(&request_id) {
-                                complete(pending, Err(e));
+                            let pending = inflight.lock().remove(&request_id);
+                            if let Some(callback) = pending {
+                                callback(Err(e));
                             }
                         }
                     }
-                } else if let Some(pending) = inflight.lock().remove(&request_id) {
-                    complete(pending, Err(RpcError::TimedOut));
+                } else {
+                    let pending = inflight.lock().remove(&request_id);
+                    if let Some(callback) = pending {
+                        callback(Err(RpcError::TimedOut));
+                    }
                 }
                 heap = heap_lock.lock();
             }
@@ -941,7 +661,7 @@ mod tests {
         let server = echo_server();
         let client = RpcClient::connect(server.local_addr()).unwrap();
         let (tx, rx) = mpsc::channel();
-        client.call_async(4, b"async".to_vec(), move |result| {
+        client.call_async_opts(4, b"async".to_vec(), None, Priority::Normal, move |result| {
             tx.send(result).unwrap();
         });
         let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -956,11 +676,17 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for i in 0..64u32 {
             let tx = tx.clone();
-            client.call_async(1, i.to_le_bytes().to_vec(), move |result| {
-                let bytes = result.unwrap();
-                let value = u32::from_le_bytes(bytes[..].try_into().unwrap());
-                tx.send(value).unwrap();
-            });
+            client.call_async_opts(
+                1,
+                i.to_le_bytes().to_vec(),
+                None,
+                Priority::Normal,
+                move |result| {
+                    let bytes = result.unwrap();
+                    let value = u32::from_le_bytes(bytes[..].try_into().unwrap());
+                    tx.send(value).unwrap();
+                },
+            );
         }
         let mut seen: Vec<u32> =
             (0..64).map(|_| rx.recv_timeout(Duration::from_secs(5)).unwrap()).collect();
@@ -1021,7 +747,12 @@ mod tests {
         });
         let client = RpcClient::connect(addr).unwrap();
         let start = std::time::Instant::now();
-        let err = client.call_deadline(1, b"never".to_vec(), Duration::from_millis(100));
+        let err = client.call_opts(
+            1,
+            b"never".to_vec(),
+            Some(Duration::from_millis(100)),
+            Priority::Normal,
+        );
         assert!(matches!(err, Err(RpcError::TimedOut)));
         assert!(start.elapsed() < Duration::from_secs(1));
         assert_eq!(client.inflight_len(), 0, "timed-out call must be deregistered");
@@ -1039,7 +770,8 @@ mod tests {
         });
         let client = RpcClient::connect(addr).unwrap();
         let (tx, rx) = mpsc::channel();
-        client.call_async_deadline(1, b"never".to_vec(), Duration::from_millis(100), move |r| {
+        let timeout = Some(Duration::from_millis(100));
+        client.call_async_opts(1, b"never".to_vec(), timeout, Priority::Normal, move |r| {
             tx.send(r).unwrap();
         });
         assert_eq!(client.inflight_len(), 1);
@@ -1053,7 +785,8 @@ mod tests {
         let server = echo_server();
         let client = RpcClient::connect(server.local_addr()).unwrap();
         let (tx, rx) = mpsc::channel();
-        client.call_async_deadline(1, b"fast".to_vec(), Duration::from_secs(30), move |r| {
+        let timeout = Some(Duration::from_secs(30));
+        client.call_async_opts(1, b"fast".to_vec(), timeout, Priority::Normal, move |r| {
             tx.send(r).unwrap();
         });
         let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -1088,114 +821,6 @@ mod tests {
         let reply = client.call(1, b"p".to_vec()).unwrap();
         assert_eq!(u32::from_le_bytes(reply[..4].try_into().unwrap()), 0);
         assert_eq!(reply[4], Priority::Normal as u8);
-    }
-
-    #[test]
-    fn batch_call_round_trips_every_member() {
-        let server = echo_server();
-        let client = RpcClient::connect(server.local_addr()).unwrap();
-        let (tx, rx) = mpsc::channel();
-        let calls = (0..16u32)
-            .map(|i| {
-                let tx = tx.clone();
-                BatchCall::new(1, i.to_le_bytes().to_vec(), move |result| {
-                    let bytes = result.unwrap();
-                    let value = u32::from_le_bytes(bytes[..].try_into().unwrap());
-                    tx.send(value).unwrap();
-                })
-            })
-            .collect();
-        client.call_batch_async(calls);
-        let mut seen: Vec<u32> =
-            (0..16).map(|_| rx.recv_timeout(Duration::from_secs(5)).unwrap()).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..16).collect::<Vec<_>>());
-        assert_eq!(client.inflight_len(), 0);
-    }
-
-    #[test]
-    fn batch_members_carry_individual_budget_and_priority() {
-        struct Probe;
-        impl Service for Probe {
-            fn call(&self, ctx: RequestContext) {
-                let mut out = ctx.remaining_budget().to_le_bytes().to_vec();
-                out.push(ctx.priority() as u8);
-                ctx.respond_ok(out);
-            }
-        }
-        let server = Server::spawn(ServerConfig::default(), Arc::new(Probe)).unwrap();
-        let client = RpcClient::connect(server.local_addr()).unwrap();
-        let (bounded_tx, bounded_rx) = mpsc::channel();
-        let (plain_tx, plain_rx) = mpsc::channel();
-        client.call_batch_async(vec![
-            BatchCall::new(1, b"a".to_vec(), move |r| bounded_tx.send(r).unwrap())
-                .with_opts(Some(Duration::from_millis(500)), Priority::Critical),
-            BatchCall::new(1, b"b".to_vec(), move |r| plain_tx.send(r).unwrap()),
-        ]);
-        let bounded = bounded_rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
-        let observed = u32::from_le_bytes(bounded[..4].try_into().unwrap());
-        assert!(observed > 0 && observed <= 500_000, "budget must decay from 500ms: {observed}");
-        assert_eq!(bounded[4], Priority::Critical as u8);
-        let plain = plain_rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
-        assert_eq!(u32::from_le_bytes(plain[..4].try_into().unwrap()), 0);
-        assert_eq!(plain[4], Priority::Normal as u8);
-    }
-
-    #[test]
-    fn batch_member_deadline_reaps_against_stuck_server() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let _keeper = std::thread::spawn(move || {
-            let (_stream, _) = listener.accept().unwrap();
-            std::thread::sleep(Duration::from_secs(2));
-        });
-        let client = RpcClient::connect(addr).unwrap();
-        let (tx, rx) = mpsc::channel();
-        let bounded_tx = tx.clone();
-        client.call_batch_async(vec![
-            BatchCall::new(1, b"never".to_vec(), move |r| bounded_tx.send(r).unwrap())
-                .with_opts(Some(Duration::from_millis(100)), Priority::Normal),
-            BatchCall::new(1, b"unbounded".to_vec(), move |r| tx.send(r).unwrap()),
-        ]);
-        assert_eq!(client.inflight_len(), 2);
-        let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(matches!(result, Err(RpcError::TimedOut)));
-        assert_eq!(client.inflight_len(), 1, "only the bounded member is reaped");
-    }
-
-    #[test]
-    fn batch_of_one_uses_plain_request_path() {
-        let server = echo_server();
-        let client = RpcClient::connect(server.local_addr()).unwrap();
-        let (tx, rx) = mpsc::channel();
-        client.call_batch_async(vec![BatchCall::new(1, b"solo".to_vec(), move |r| {
-            tx.send(r).unwrap()
-        })]);
-        let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(result.unwrap(), b"solo");
-        // Empty batches are a no-op.
-        client.call_batch_async(Vec::new());
-        assert_eq!(client.inflight_len(), 0);
-    }
-
-    #[test]
-    fn batch_send_on_closed_client_fails_all_members() {
-        let server = echo_server();
-        let client = RpcClient::connect(server.local_addr()).unwrap();
-        client.shutdown();
-        let (tx, rx) = mpsc::channel();
-        let calls = (0..3u32)
-            .map(|_| {
-                let tx = tx.clone();
-                BatchCall::new(1, b"late".to_vec(), move |r| tx.send(r).unwrap())
-            })
-            .collect();
-        client.call_batch_async(calls);
-        for _ in 0..3 {
-            let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert!(matches!(result, Err(RpcError::ConnectionClosed)));
-        }
-        assert_eq!(client.inflight_len(), 0);
     }
 
     #[test]
@@ -1237,10 +862,13 @@ mod tests {
         fn reactor_client_round_trips_sync_and_async() {
             let server = echo_server();
             let reactor = Arc::new(Reactor::start(ReactorConfig::default()));
-            let client = RpcClient::connect_via(server.local_addr(), &reactor).unwrap();
+            let client =
+                RpcClient::connect_with(server.local_addr(), None, Some(&reactor)).unwrap();
             assert_eq!(client.call(1, b"via".to_vec()).unwrap(), b"via");
             let (tx, rx) = mpsc::channel();
-            client.call_async(1, b"async-via".to_vec(), move |r| tx.send(r).unwrap());
+            client.call_async_opts(1, b"async-via".to_vec(), None, Priority::Normal, move |r| {
+                tx.send(r).unwrap()
+            });
             let reply = rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
             assert_eq!(reply, b"async-via");
             assert_eq!(client.inflight_len(), 0);
@@ -1252,7 +880,9 @@ mod tests {
             let reactor =
                 Arc::new(Reactor::start(ReactorConfig { pollers: 2, ..ReactorConfig::default() }));
             let clients: Vec<_> = (0..8)
-                .map(|_| RpcClient::connect_via(server.local_addr(), &reactor).unwrap())
+                .map(|_| {
+                    RpcClient::connect_with(server.local_addr(), None, Some(&reactor)).unwrap()
+                })
                 .collect();
             for (i, client) in clients.iter().enumerate() {
                 assert_eq!(client.call(1, vec![i as u8]).unwrap(), vec![i as u8]);
@@ -1273,9 +903,11 @@ mod tests {
                 std::thread::sleep(Duration::from_secs(2));
             });
             let reactor = Arc::new(Reactor::start(ReactorConfig::default()));
-            let client = RpcClient::connect_via(addr, &reactor).unwrap();
+            let client = RpcClient::connect_with(addr, None, Some(&reactor)).unwrap();
             let (tx, rx) = mpsc::channel();
-            client.call_async(1, b"never".to_vec(), move |r| tx.send(r).unwrap());
+            client.call_async_opts(1, b"never".to_vec(), None, Priority::Normal, move |r| {
+                tx.send(r).unwrap()
+            });
             client.shutdown();
             let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
             assert!(matches!(result, Err(RpcError::ConnectionClosed)), "got {result:?}");
@@ -1286,7 +918,7 @@ mod tests {
             let server = echo_server();
             let reactor = Arc::new(Reactor::start(ReactorConfig::default()));
             reactor.shutdown();
-            assert!(RpcClient::connect_via(server.local_addr(), &reactor).is_err());
+            assert!(RpcClient::connect_with(server.local_addr(), None, Some(&reactor)).is_err());
         }
     }
 
@@ -1299,10 +931,12 @@ mod tests {
             let server = echo_server();
             let plan = FaultPlan::builder(11, 1).slow_leaf(0, Duration::from_millis(80)).build();
             let client =
-                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0))).unwrap();
+                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0)), None)
+                    .unwrap();
             plan.arm();
             let start = Instant::now();
-            let reply = client.call_deadline(1, b"late".to_vec(), Duration::from_secs(5)).unwrap();
+            let timeout = Some(Duration::from_secs(5));
+            let reply = client.call_opts(1, b"late".to_vec(), timeout, Priority::Normal).unwrap();
             assert_eq!(reply, b"late");
             assert!(
                 start.elapsed() >= Duration::from_millis(80),
@@ -1318,9 +952,11 @@ mod tests {
                 .rule(0, crate::fault::FaultRule::always(FaultKind::Stall))
                 .build();
             let client =
-                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0))).unwrap();
+                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0)), None)
+                    .unwrap();
             plan.arm();
-            let err = client.call_deadline(1, b"stuck".to_vec(), Duration::from_millis(100));
+            let timeout = Some(Duration::from_millis(100));
+            let err = client.call_opts(1, b"stuck".to_vec(), timeout, Priority::Normal);
             assert!(matches!(err, Err(RpcError::TimedOut)), "got {err:?}");
             assert_eq!(client.inflight_len(), 0);
         }
@@ -1330,13 +966,15 @@ mod tests {
             let server = echo_server();
             let plan = FaultPlan::builder(13, 1).dead_leaf(0).build();
             let client =
-                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0))).unwrap();
+                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0)), None)
+                    .unwrap();
             plan.arm();
             let err = client.call(1, b"dead".to_vec());
             assert!(matches!(err, Err(RpcError::ConnectionClosed)), "got {err:?}");
             assert!(client.is_closed());
             // Reconnects to a dead leaf are refused.
-            let refused = RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0)));
+            let refused =
+                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0)), None);
             assert!(refused.is_err());
         }
 
@@ -1345,11 +983,13 @@ mod tests {
             let server = echo_server();
             let plan = FaultPlan::builder(14, 1).corrupting_leaf(0, 1).build();
             let client =
-                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0))).unwrap();
+                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0)), None)
+                    .unwrap();
             plan.arm();
             // The server's checksum rejects the frame and drops the
             // connection: the call must error, never echo corrupt bytes.
-            let err = client.call_deadline(1, b"garble".to_vec(), Duration::from_secs(5));
+            let timeout = Some(Duration::from_secs(5));
+            let err = client.call_opts(1, b"garble".to_vec(), timeout, Priority::Normal);
             assert!(err.is_err(), "corrupted request must not produce a reply");
             assert_eq!(plan.injected_of(FaultKind::Corrupt), 1);
         }
@@ -1359,7 +999,8 @@ mod tests {
             let server = echo_server();
             let plan = FaultPlan::builder(15, 1).dead_leaf(0).build();
             let client =
-                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0))).unwrap();
+                RpcClient::connect_with(server.local_addr(), Some(plan.client_faults(0)), None)
+                    .unwrap();
             let reply = client.call(1, b"fine".to_vec()).unwrap();
             assert_eq!(reply, b"fine");
             assert_eq!(plan.injected(), 0);
@@ -1372,52 +1013,66 @@ mod model_tests {
     use super::*;
     use musuite_check::{thread, Checker};
 
-    /// The response/deadline race over the real `SyncSlot` and in-flight
-    /// table: the pick-up thread claims the entry then completes, while
-    /// the caller times out and deregisters (the `call_with_timeout`
-    /// cleanup path). In every interleaving the caller observes exactly
-    /// one outcome — a timed-out slot never resurrects a late write — and
-    /// the table ends empty.
+    /// Registers the blocking wrapper's completion exactly as `call_opts`
+    /// does: a callback in the in-flight table that fills a one-shot slot.
+    fn register_blocking(inflight: &InflightTable) -> Arc<OneShot> {
+        let slot = OneShot::new();
+        let filler = slot.clone();
+        inflight.lock().insert(1, Box::new(move |result| filler.complete(result)));
+        slot
+    }
+
+    /// Claims entry 1 the way the pick-up thread and the reaper do: remove
+    /// under the table lock, complete outside it.
+    fn claim(inflight: &InflightTable, outcome: Result<Bytes, RpcError>) -> bool {
+        let pending = inflight.lock().remove(&1);
+        match pending {
+            Some(callback) => {
+                callback(outcome);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The response/deadline race on the blocking path: the pick-up thread
+    /// delivers a response while the reaper fails the same call with
+    /// `TimedOut`. In every interleaving the parked caller observes exactly
+    /// one outcome — the loser finds the entry gone, so no late write ever
+    /// lands in the slot after the caller has taken its result — and the
+    /// table ends empty.
     #[test]
     fn response_vs_timeout_claims_entry_exactly_once() {
         let report = Checker::new()
             .check(|| {
                 let inflight: InflightTable = Arc::new(CountedMutex::new(HashMap::new()));
-                let slot = SyncSlot::new();
-                inflight.lock().insert(1, Pending::Sync(slot.clone()));
-
+                let slot = register_blocking(&inflight);
                 let responder = {
                     let inflight = inflight.clone();
-                    thread::spawn(move || match inflight.lock().remove(&1) {
-                        Some(Pending::Sync(slot)) => {
-                            slot.complete(Ok(Bytes::from_static(b"late")));
-                            true
-                        }
-                        Some(Pending::Async(_)) => unreachable!(),
-                        None => false,
-                    })
+                    thread::spawn(move || claim(&inflight, Ok(Bytes::from_static(b"late"))))
                 };
-
-                let result = slot.wait(Some(Duration::from_secs(1)));
-                if matches!(result, Err(RpcError::TimedOut)) {
-                    inflight.lock().remove(&1);
-                }
-                let claimed = responder.join().unwrap();
+                let reaper = {
+                    let inflight = inflight.clone();
+                    thread::spawn(move || claim(&inflight, Err(RpcError::TimedOut)))
+                };
+                let result = slot.wait();
+                let responded = responder.join().unwrap();
+                let reaped = reaper.join().unwrap();
                 match result {
                     Ok(payload) => {
                         assert_eq!(&payload[..], b"late");
-                        assert!(claimed, "a delivered response implies a claimed entry");
+                        assert!(responded && !reaped, "a delivered response implies its claim");
                     }
                     Err(RpcError::TimedOut) => {
-                        // The late write (if the responder claimed) lands in a
-                        // slot nobody reads again — never delivered twice.
+                        assert!(reaped && !responded, "a timeout implies the reaper's claim");
                     }
                     Err(other) => panic!("unexpected outcome: {other:?}"),
                 }
+                assert!(slot.result.lock().is_none(), "no second completion may land");
                 assert!(inflight.lock().is_empty(), "entry must be deregistered either way");
             })
             .expect("every schedule must yield exactly one caller-visible outcome");
-        assert!(report.iterations > 1, "the timeout branch must actually be explored");
+        assert!(report.iterations > 1, "both claim orders must be explored");
     }
 
     /// Responder and reaper race to claim the same entry: the table's
@@ -1428,24 +1083,15 @@ mod model_tests {
         Checker::new()
             .check(|| {
                 let inflight: InflightTable = Arc::new(CountedMutex::new(HashMap::new()));
-                let slot = SyncSlot::new();
-                inflight.lock().insert(1, Pending::Sync(slot.clone()));
-
-                let claim = |outcome: Result<Bytes, RpcError>| {
+                let slot = register_blocking(&inflight);
+                let racer = |outcome: Result<Bytes, RpcError>| {
                     let inflight = inflight.clone();
-                    move || match inflight.lock().remove(&1) {
-                        Some(Pending::Sync(slot)) => {
-                            slot.complete(outcome);
-                            true
-                        }
-                        Some(Pending::Async(_)) => unreachable!(),
-                        None => false,
-                    }
+                    move || claim(&inflight, outcome)
                 };
-                let responder = thread::spawn(claim(Ok(Bytes::from_static(b"r"))));
-                let reaper = thread::spawn(claim(Err(RpcError::TimedOut)));
+                let responder = thread::spawn(racer(Ok(Bytes::from_static(b"r"))));
+                let reaper = thread::spawn(racer(Err(RpcError::TimedOut)));
 
-                let result = slot.wait(None);
+                let result = slot.wait();
                 let claims =
                     usize::from(responder.join().unwrap()) + usize::from(reaper.join().unwrap());
                 assert_eq!(claims, 1, "the entry must be claimed by exactly one thread");

@@ -82,10 +82,11 @@ pub enum AdmissionModel {
 /// How many requests a worker drains per wakeup, and how long a partial
 /// batch may wait for stragglers — the throughput-vs-latency knob the
 /// DeathStarBench RPC studies identify as dominant at microservice
-/// message sizes. `off()` (the default) keeps single-request semantics;
-/// any `max_size > 1` makes *batches* the unit of work: one park/unpark
-/// per batch at the dispatch queue, one multi-request frame per merged
-/// fan-out, one compute-kernel invocation per leaf batch.
+/// message sizes. `off()` (the default) is a batch of one; any
+/// `max_size > 1` makes *batches* the server's unit of work: one
+/// park/unpark per batch at the dispatch queue, one compute-kernel
+/// invocation per leaf batch. Batches form from requests queued together;
+/// each request still travels as its own frame.
 ///
 /// Deadline and priority bookkeeping always stays per *member*: a batch
 /// never outlives its tightest budget, and expired members are dropped

@@ -15,23 +15,26 @@
 //! the same allocation. Replies come back as [`Bytes`] slices of each
 //! client connection's pooled read buffer, so neither direction copies
 //! payload bytes inside the process.
+//!
+//! Every leaf sub-call is one [`RpcClient::call_async_opts`], so it
+//! crosses the client's fault shim like any other request. Batching is
+//! the receiving server's business: a leaf run with a
+//! [`crate::config::BatchPolicy`] drains concurrently arriving sub-calls
+//! from its dispatch queue as one unit of work.
 
 use crate::buf::Payload;
-use crate::client::{BatchCall, RpcClient};
-use crate::config::BatchPolicy;
+use crate::client::RpcClient;
 use crate::error::{FailureKind, RpcError};
 use crate::fault::{ClientFaults, FaultPlan};
 use crate::reactor::Reactor;
 use bytes::Bytes;
 use musuite_check::atomic::{AtomicUsize, Ordering};
-use musuite_check::sync::{Condvar, Mutex, RwLock};
-use musuite_check::thread::{Builder, JoinHandle};
+use musuite_check::sync::{Mutex, RwLock};
 use musuite_codec::Priority;
-use musuite_telemetry::batching::{BatchStats, FlushReason};
 use musuite_telemetry::clock::Clock;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The gathered outcome of one scatter: per-leaf results in request order
 /// plus the wall-clock time the fan-out took (used to attribute leaf time
@@ -165,217 +168,38 @@ impl LeafConns {
     }
 }
 
-/// The boxed completion a buffered leaf call resolves through.
-type LeafCallback = Box<dyn FnOnce(Result<Bytes, RpcError>) + Send + 'static>;
-
-/// One leaf sub-call parked in a merge buffer awaiting flush.
-struct BufferedCall {
-    method: u32,
-    payload: Payload,
-    deadline: Option<Instant>,
-    priority: Priority,
-    done: LeafCallback,
-}
-
-/// One leaf's merge buffer: the parked calls plus when the first of them
-/// arrived (the batch's delay clock).
-#[derive(Default)]
-struct MergeBuffer {
-    calls: Vec<BufferedCall>,
-    opened_at: Option<Instant>,
-}
-
-/// Flusher-thread coordination: the earliest buffer due time and the
-/// shutdown flag, guarded by one mutex the flusher's condvar waits on.
-struct FlusherShared {
-    stop: bool,
-    next_due: Option<Instant>,
-}
-
-/// Client-side merge batching: same-leaf sub-calls from *concurrent*
-/// scatters park here briefly and leave as one multi-request envelope —
-/// the mid-tier analogue of the server's dequeue-side `pop_batch`.
-struct MergeState {
-    policy: BatchPolicy,
-    buffers: Vec<Mutex<MergeBuffer>>,
-    shared: Mutex<FlusherShared>,
-    wake: Condvar,
-    flusher: Mutex<Option<JoinHandle<()>>>,
-    stats: BatchStats,
-}
-
-impl MergeState {
-    /// Lowers the flusher's next wake-up to `due` if it is earlier.
-    fn propose_due(&self, due: Instant) {
-        let mut shared = self.shared.lock();
-        if shared.next_due.is_none_or(|current| due < current) {
-            shared.next_due = Some(due);
-            self.wake.notify_one();
-        }
-    }
-
-    /// Flushes every buffer that is due at `now` (every non-empty buffer
-    /// when `force`), returning the earliest remaining due time.
-    fn sweep(&self, leaves: &[LeafConns], now: Instant, force: bool) -> Option<Instant> {
-        let mut earliest: Option<Instant> = None;
-        for (leaf, slot) in self.buffers.iter().enumerate() {
-            let taken = {
-                let mut buffer = slot.lock();
-                match buffer.opened_at {
-                    Some(opened) if force || now >= opened + self.policy.max_delay() => {
-                        buffer.opened_at = None;
-                        Some(std::mem::take(&mut buffer.calls))
-                    }
-                    Some(opened) => {
-                        let due = opened + self.policy.max_delay();
-                        if earliest.is_none_or(|current| due < current) {
-                            earliest = Some(due);
-                        }
-                        None
-                    }
-                    None => None,
-                }
-            };
-            if let Some(calls) = taken {
-                let reason =
-                    if force { FlushReason::QueueDrained } else { FlushReason::DelayExpired };
-                self.flush(leaves, leaf, calls, reason);
-            }
-        }
-        earliest
-    }
-
-    /// Sends a flushed buffer to its leaf. Members whose deadline already
-    /// passed while parked are dropped *from the batch* and completed with
-    /// [`RpcError::TimedOut`] here — a merged envelope never outlives its
-    /// tightest member budget. A lone survivor takes the plain request
-    /// path; two or more leave as one batch envelope.
-    fn flush(&self, leaves: &[LeafConns], leaf: usize, calls: Vec<BufferedCall>, r: FlushReason) {
-        let now = Instant::now();
-        let mut live = Vec::with_capacity(calls.len());
-        for call in calls {
-            if call.deadline.is_some_and(|deadline| deadline <= now) {
-                (call.done)(Err(RpcError::TimedOut));
-                continue;
-            }
-            live.push(call);
-        }
-        self.stats.record_batch(live.len(), r);
-        if live.is_empty() {
-            return;
-        }
-        let client = leaves[leaf].pick();
-        if live.len() == 1 {
-            // lint: allow(expect): emptiness is checked immediately above
-            let call = live.pop().expect("one live member");
-            let remaining = call.deadline.map(|deadline| deadline - now);
-            client.call_async_opts(call.method, call.payload, remaining, call.priority, call.done);
-            return;
-        }
-        let batch = live
-            .into_iter()
-            .map(|call| {
-                let remaining = call.deadline.map(|deadline| deadline - now);
-                BatchCall::new(call.method, call.payload, call.done)
-                    .with_opts(remaining, call.priority)
-            })
-            .collect();
-        client.call_batch_async(batch);
-    }
-}
-
-/// Spawns the delay flusher: it sleeps until the earliest open buffer
-/// comes due, sweeps, and reposes. Buffers opened while it sleeps lower
-/// its wake-up through [`MergeState::propose_due`].
-fn spawn_flusher_thread(state: Arc<MergeState>, leaves: Arc<Vec<LeafConns>>) -> JoinHandle<()> {
-    Builder::new()
-        .name("musuite-merge-flusher".into())
-        .spawn(move || loop {
-            {
-                let mut shared = state.shared.lock();
-                loop {
-                    if shared.stop {
-                        return;
-                    }
-                    match shared.next_due {
-                        None => state.wake.wait(&mut shared),
-                        Some(due) => {
-                            let now = Instant::now();
-                            if now >= due {
-                                shared.next_due = None;
-                                break;
-                            }
-                            state.wake.wait_for(&mut shared, due - now);
-                        }
-                    }
-                }
-            }
-            if let Some(next) = state.sweep(&leaves, Instant::now(), false) {
-                state.propose_due(next);
-            }
-        })
-        .expect("spawn merge flusher thread") // lint: allow(expect): delay flushes are unenforceable without it
-}
-
 /// A set of asynchronous clients, one connection pool per leaf
 /// microserver.
 ///
-/// With a shared [`Reactor`] attached
-/// ([`FanoutGroup::connect_with_plan_via`]), every leaf connection —
-/// including later reconnects — registers with the reactor instead of
-/// spawning a response pick-up thread, so the client-side network thread
-/// count is the reactor's fixed poller count regardless of fan-out width.
+/// With a shared [`Reactor`] attached ([`FanoutGroup::connect_with`]),
+/// every leaf connection — including later reconnects — registers with
+/// the reactor instead of spawning a response pick-up thread, so the
+/// client-side network thread count is the reactor's fixed poller count
+/// regardless of fan-out width.
 pub struct FanoutGroup {
-    leaves: Arc<Vec<LeafConns>>,
+    leaves: Vec<LeafConns>,
     clock: Clock,
     reactor: Option<Arc<Reactor>>,
-    merge: Option<Arc<MergeState>>,
-}
-
-/// Connects one leaf client, through the shared reactor when present.
-fn connect_leaf(
-    addr: impl ToSocketAddrs,
-    faults: Option<ClientFaults>,
-    reactor: Option<&Arc<Reactor>>,
-) -> Result<RpcClient, RpcError> {
-    match reactor {
-        Some(reactor) => RpcClient::connect_with_via(addr, faults, reactor),
-        None => RpcClient::connect_with(addr, faults),
-    }
 }
 
 impl FanoutGroup {
-    /// Connects one connection to every leaf address, in order.
+    /// Connects one connection to every leaf address, in order;
+    /// `connect(addrs)` is `connect_with(addrs, 1, None, None)`.
     ///
     /// # Errors
     ///
     /// Returns the first connection error encountered.
     pub fn connect<A: ToSocketAddrs>(addrs: &[A]) -> Result<FanoutGroup, RpcError> {
-        Self::connect_pooled(addrs, 1)
+        Self::connect_with(addrs, 1, None, None)
     }
 
     /// Connects `conns_per_leaf` connections to every leaf. Each extra
-    /// connection brings its own response pick-up thread, spreading leaf
-    /// responses (and the merge work done on the last one) across threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first connection error encountered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `conns_per_leaf` is zero.
-    pub fn connect_pooled<A: ToSocketAddrs>(
-        addrs: &[A],
-        conns_per_leaf: usize,
-    ) -> Result<FanoutGroup, RpcError> {
-        Self::connect_with_plan(addrs, conns_per_leaf, None)
-    }
-
-    /// As [`FanoutGroup::connect_pooled`], attaching a fault-injection
-    /// plan: every connection to leaf `i` (including later reconnects)
-    /// carries the plan's per-leaf view. With `None` this is exactly
-    /// [`FanoutGroup::connect_pooled`].
+    /// connection spreads leaf responses (and the merge work done on the
+    /// last one) across pick-up threads. An optional fault-injection plan
+    /// gives every connection to leaf `i` (including later reconnects) the
+    /// plan's per-leaf view; an optional shared [`Reactor`] picks up every
+    /// leaf connection's responses instead of per-connection threads, and
+    /// reconnects inherit it.
     ///
     /// # Errors
     ///
@@ -385,27 +209,7 @@ impl FanoutGroup {
     ///
     /// Panics if `conns_per_leaf` is zero or the plan covers fewer leaves
     /// than `addrs`.
-    pub fn connect_with_plan<A: ToSocketAddrs>(
-        addrs: &[A],
-        conns_per_leaf: usize,
-        plan: Option<&Arc<FaultPlan>>,
-    ) -> Result<FanoutGroup, RpcError> {
-        Self::connect_with_plan_via(addrs, conns_per_leaf, plan, None)
-    }
-
-    /// As [`FanoutGroup::connect_with_plan`], optionally routing every
-    /// leaf connection's responses through a shared [`Reactor`] instead of
-    /// per-connection pick-up threads. Reconnects inherit the reactor.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first connection error encountered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `conns_per_leaf` is zero or the plan covers fewer leaves
-    /// than `addrs`.
-    pub fn connect_with_plan_via<A: ToSocketAddrs>(
+    pub fn connect_with<A: ToSocketAddrs>(
         addrs: &[A],
         conns_per_leaf: usize,
         plan: Option<&Arc<FaultPlan>>,
@@ -417,7 +221,7 @@ impl FanoutGroup {
             let faults = plan.map(|plan| plan.client_faults(leaf));
             let mut conns = Vec::with_capacity(conns_per_leaf);
             for _ in 0..conns_per_leaf {
-                conns.push(Arc::new(connect_leaf(addr, faults.clone(), reactor)?));
+                conns.push(Arc::new(RpcClient::connect_with(addr, faults.clone(), reactor)?));
             }
             let addr = conns[0].peer_addr();
             leaves.push(LeafConns {
@@ -427,72 +231,7 @@ impl FanoutGroup {
                 faults,
             });
         }
-        Ok(FanoutGroup {
-            leaves: Arc::new(leaves),
-            clock: Clock::new(),
-            reactor: reactor.cloned(),
-            merge: None,
-        })
-    }
-
-    /// Builds a group from pre-connected clients, one per leaf.
-    pub fn from_clients(clients: Vec<Arc<RpcClient>>) -> FanoutGroup {
-        FanoutGroup {
-            leaves: Arc::new(
-                clients
-                    .into_iter()
-                    .map(|client| LeafConns {
-                        addr: client.peer_addr(),
-                        conns: RwLock::new(vec![client]),
-                        next: AtomicUsize::new(0),
-                        faults: None,
-                    })
-                    .collect(),
-            ),
-            clock: Clock::new(),
-            reactor: None,
-            merge: None,
-        }
-    }
-
-    /// Enables client-side merge batching: leaf sub-calls issued through
-    /// this group park in a per-leaf buffer and leave as **one**
-    /// multi-request envelope when the buffer reaches `policy.max_size()`
-    /// members or the oldest member has waited `policy.max_delay()`.
-    /// Sub-calls from *concurrent* scatters that target the same leaf
-    /// merge into the same envelope — the shared-prefix payload machinery
-    /// keeps the common request state a single allocation throughout.
-    ///
-    /// Members keep their individual deadlines and priorities; a member
-    /// whose deadline expires while parked is completed with
-    /// [`RpcError::TimedOut`] and dropped from the envelope, never the
-    /// other way around. An off policy (`BatchPolicy::off()`) leaves the
-    /// group on the direct per-call path.
-    pub fn with_batching(mut self, policy: BatchPolicy) -> FanoutGroup {
-        if !policy.is_on() {
-            self.merge = None;
-            return self;
-        }
-        let state = Arc::new(MergeState {
-            policy,
-            buffers: (0..self.leaves.len()).map(|_| Mutex::new(MergeBuffer::default())).collect(),
-            shared: Mutex::new(FlusherShared { stop: false, next_due: None }),
-            wake: Condvar::new(),
-            flusher: Mutex::new(None),
-            stats: BatchStats::default(),
-        });
-        if !policy.max_delay().is_zero() {
-            let handle = spawn_flusher_thread(state.clone(), self.leaves.clone());
-            *state.flusher.lock() = Some(handle);
-        }
-        self.merge = Some(state);
-        self
-    }
-
-    /// Merge-batching occupancy and flush-reason counters, when batching
-    /// is enabled ([`FanoutGroup::with_batching`]).
-    pub fn batch_stats(&self) -> Option<&BatchStats> {
-        self.merge.as_ref().map(|state| &state.stats)
+        Ok(FanoutGroup { leaves, clock: Clock::new(), reactor: reactor.cloned() })
     }
 
     /// The shared reactor leaf connections register with, if any.
@@ -557,8 +296,9 @@ impl FanoutGroup {
         let mut replaced = 0;
         for slot in conns.iter_mut() {
             if slot.is_closed() {
-                *slot =
-                    Arc::new(connect_leaf(leaf.addr, leaf.faults.clone(), self.reactor.as_ref())?);
+                let conn =
+                    RpcClient::connect_with(leaf.addr, leaf.faults.clone(), self.reactor.as_ref())?;
+                *slot = Arc::new(conn);
                 replaced += 1;
             }
         }
@@ -568,7 +308,7 @@ impl FanoutGroup {
     /// Shuts down every connection to every leaf; in-flight calls fail
     /// fast with [`RpcError::ConnectionClosed`]. Idempotent.
     pub fn shutdown_all(&self) {
-        for leaf in self.leaves.iter() {
+        for leaf in &self.leaves {
             for conn in leaf.conns.read().iter() {
                 conn.shutdown();
             }
@@ -579,63 +319,22 @@ impl FanoutGroup {
     /// runs `on_complete` on the response thread that receives the final
     /// reply.
     ///
+    /// Each leaf request carries `priority` on the wire and, with a
+    /// `timeout`, fails its slot with [`RpcError::TimedOut`] instead of
+    /// stalling the merge forever — the mid-tier's defense against a
+    /// wedged leaf. This is the mid-tier's budget-forwarding hop: callers
+    /// pass the *remaining* budget of the inbound request (already net of
+    /// time spent upstream) as `timeout`, and each leaf frame departs
+    /// carrying what is left of it at write time. To send the same state
+    /// to every leaf, pass clones of one [`Payload`]: they share its
+    /// allocation.
+    ///
     /// An empty request list completes immediately on the calling thread.
     ///
     /// # Panics
     ///
     /// Panics if any leaf index is out of bounds.
-    pub fn scatter<P, F>(&self, requests: Vec<(usize, u32, P)>, on_complete: F)
-    where
-        P: Into<Payload>,
-        F: FnOnce(FanoutResult) + Send + 'static,
-    {
-        self.scatter_inner(requests, None, Priority::Normal, on_complete);
-    }
-
-    /// Like [`FanoutGroup::scatter`], but each leaf request that has not
-    /// completed within `timeout` fails its slot with
-    /// [`RpcError::TimedOut`] instead of stalling the merge forever — the
-    /// mid-tier's defense against a wedged leaf.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any leaf index is out of bounds.
-    pub fn scatter_deadline<P, F>(
-        &self,
-        requests: Vec<(usize, u32, P)>,
-        timeout: Duration,
-        on_complete: F,
-    ) where
-        P: Into<Payload>,
-        F: FnOnce(FanoutResult) + Send + 'static,
-    {
-        self.scatter_inner(requests, Some(timeout), Priority::Normal, on_complete);
-    }
-
-    /// The fully-general scatter: an optional per-leaf deadline plus the
-    /// [`Priority`] class every leaf request carries on the wire. This is
-    /// the mid-tier's budget-forwarding hop — callers pass the *remaining*
-    /// budget of the inbound request (already net of time spent upstream)
-    /// as `timeout`, and each leaf frame departs carrying what is left of
-    /// it at write time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any leaf index is out of bounds.
-    pub fn scatter_opts<P, F>(
-        &self,
-        requests: Vec<(usize, u32, P)>,
-        timeout: Option<Duration>,
-        priority: Priority,
-        on_complete: F,
-    ) where
-        P: Into<Payload>,
-        F: FnOnce(FanoutResult) + Send + 'static,
-    {
-        self.scatter_inner(requests, timeout, priority, on_complete);
-    }
-
-    fn scatter_inner<P, F>(
+    pub fn scatter<P, F>(
         &self,
         requests: Vec<(usize, u32, P)>,
         timeout: Option<Duration>,
@@ -656,127 +355,28 @@ impl FanoutGroup {
         for (slot, (leaf, method, payload)) in requests.into_iter().enumerate() {
             let state = state.clone();
             let done = move |result| state.arrive(slot, result);
-            self.issue(leaf, method, payload, timeout, priority, done);
-        }
-    }
-
-    /// Issues one leaf sub-call through the group's request path: the
-    /// direct asynchronous call normally, or the merge buffer when
-    /// batching is enabled ([`FanoutGroup::with_batching`]) — where it may
-    /// coalesce with sub-calls from other concurrent scatters to the same
-    /// leaf into one multi-request envelope. The `timeout` decays while
-    /// the call is parked, exactly as it decays in a send queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaf` is out of bounds.
-    pub fn issue<P, F>(
-        &self,
-        leaf: usize,
-        method: u32,
-        payload: P,
-        timeout: Option<Duration>,
-        priority: Priority,
-        done: F,
-    ) where
-        P: Into<Payload>,
-        F: FnOnce(Result<Bytes, RpcError>) + Send + 'static,
-    {
-        let Some(merge) = &self.merge else {
             self.leaves[leaf].pick().call_async_opts(method, payload, timeout, priority, done);
-            return;
-        };
-        let now = Instant::now();
-        let call = BufferedCall {
-            method,
-            payload: payload.into(),
-            deadline: timeout.map(|limit| now + limit),
-            priority,
-            done: Box::new(done),
-        };
-        let (full, opened) = {
-            let mut buffer = merge.buffers[leaf].lock();
-            buffer.calls.push(call);
-            if buffer.calls.len() >= merge.policy.max_size() {
-                buffer.opened_at = None;
-                (Some(std::mem::take(&mut buffer.calls)), None)
-            } else if merge.policy.max_delay().is_zero() {
-                // No delay budget to wait for stragglers: whatever this
-                // moment's contemporaries contributed leaves immediately.
-                (Some(std::mem::take(&mut buffer.calls)), None)
-            } else if buffer.opened_at.is_none() {
-                buffer.opened_at = Some(now);
-                (None, Some(now + merge.policy.max_delay()))
-            } else {
-                (None, None)
-            }
-        };
-        if let Some(calls) = full {
-            let reason = if calls.len() >= merge.policy.max_size() {
-                FlushReason::SizeFull
-            } else {
-                FlushReason::QueueDrained
-            };
-            merge.flush(&self.leaves, leaf, calls, reason);
-        } else if let Some(due) = opened {
-            merge.propose_due(due);
         }
-    }
-
-    /// Scatters the same `(method, payload)` to **every** leaf. The
-    /// payload is converted to a [`Payload`] once; each leaf receives a
-    /// reference-counted clone of the same allocation, not a deep copy.
-    pub fn broadcast<P, F>(&self, method: u32, payload: P, on_complete: F)
-    where
-        P: Into<Payload>,
-        F: FnOnce(FanoutResult) + Send + 'static,
-    {
-        let payload = payload.into();
-        let requests = (0..self.leaves.len()).map(|leaf| (leaf, method, payload.clone())).collect();
-        self.scatter(requests, on_complete);
     }
 
     /// Scatters and blocks the calling thread until the merge completes —
     /// convenience for tests and synchronous front-ends.
-    pub fn scatter_wait<P: Into<Payload>>(&self, requests: Vec<(usize, u32, P)>) -> FanoutResult {
-        let (tx, rx) = std::sync::mpsc::channel();
-        self.scatter(requests, move |result| {
-            let _ = tx.send(result);
-        });
-        // lint: allow(expect): completion closure runs on every path, even all-timeout
-        rx.recv().expect("scatter completion always runs")
-    }
-
-    /// Blocking variant of [`FanoutGroup::scatter_deadline`].
-    pub fn scatter_wait_deadline<P: Into<Payload>>(
+    ///
+    /// # Panics
+    ///
+    /// Panics if any leaf index is out of bounds.
+    pub fn scatter_wait<P: Into<Payload>>(
         &self,
         requests: Vec<(usize, u32, P)>,
-        timeout: Duration,
+        timeout: Option<Duration>,
+        priority: Priority,
     ) -> FanoutResult {
         let (tx, rx) = std::sync::mpsc::channel();
-        self.scatter_deadline(requests, timeout, move |result| {
+        self.scatter(requests, timeout, priority, move |result| {
             let _ = tx.send(result);
         });
         // lint: allow(expect): completion closure runs on every path, even all-timeout
         rx.recv().expect("scatter completion always runs")
-    }
-}
-
-impl Drop for FanoutGroup {
-    /// Stops the delay flusher and force-flushes every parked sub-call so
-    /// no buffered callback is ever silently dropped with the group.
-    fn drop(&mut self) {
-        let Some(merge) = &self.merge else { return };
-        {
-            let mut shared = merge.shared.lock();
-            shared.stop = true;
-        }
-        merge.wake.notify_all();
-        let handle = merge.flusher.lock().take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-        merge.sweep(&self.leaves, Instant::now(), true);
     }
 }
 
@@ -816,7 +416,7 @@ mod tests {
     fn scatter_gathers_in_request_order() {
         let (_servers, group) = leaf_cluster(4);
         let requests: Vec<_> = (0..4).map(|leaf| (leaf, 1u32, vec![9u8])).collect();
-        let result = group.scatter_wait(requests);
+        let result = group.scatter_wait(requests, None, Priority::Normal);
         assert!(result.all_ok());
         assert!(result.elapsed_ns > 0);
         let replies = result.successes();
@@ -829,7 +429,10 @@ mod tests {
     fn broadcast_reaches_every_leaf() {
         let (_servers, group) = leaf_cluster(3);
         let (tx, rx) = std::sync::mpsc::channel();
-        group.broadcast(2, b"all".to_vec(), move |result| {
+        // The same request to every leaf: one payload, cloned per slot.
+        let payload = Payload::from(b"all".to_vec());
+        let requests = (0..3).map(|leaf| (leaf, 2u32, payload.clone())).collect();
+        group.scatter(requests, None, Priority::Normal, move |result| {
             tx.send(result).unwrap();
         });
         let result = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
@@ -843,7 +446,8 @@ mod tests {
         // Encode the shared state once; every leaf's reply must embed it.
         let shared = Bytes::from(vec![0x5A; 256]);
         let (tx, rx) = std::sync::mpsc::channel();
-        group.broadcast(2, shared.clone(), move |result| {
+        let requests = (0..3).map(|leaf| (leaf, 2u32, shared.clone())).collect();
+        group.scatter(requests, None, Priority::Normal, move |result| {
             tx.send(result).unwrap();
         });
         let result = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
@@ -859,7 +463,7 @@ mod tests {
         let requests: Vec<_> = (0..3)
             .map(|leaf| (leaf, 1u32, Payload::with_suffix(shared.clone(), vec![leaf as u8])))
             .collect();
-        let result = group.scatter_wait(requests);
+        let result = group.scatter_wait(requests, None, Priority::Normal);
         assert!(result.all_ok());
         for (leaf, reply) in result.successes().iter().enumerate() {
             // TaggedEcho prepends the leaf id, then echoes head + tail.
@@ -872,7 +476,8 @@ mod tests {
     #[test]
     fn empty_scatter_completes_immediately() {
         let (_servers, group) = leaf_cluster(1);
-        let result = group.scatter_wait(Vec::<(usize, u32, Vec<u8>)>::new());
+        let result =
+            group.scatter_wait(Vec::<(usize, u32, Vec<u8>)>::new(), None, Priority::Normal);
         assert!(result.replies.is_empty());
         assert_eq!(result.elapsed_ns, 0);
     }
@@ -881,7 +486,7 @@ mod tests {
     fn repeated_requests_to_same_leaf() {
         let (_servers, group) = leaf_cluster(2);
         let requests = vec![(1usize, 1u32, vec![1]), (1, 1, vec![2]), (0, 1, vec![3])];
-        let result = group.scatter_wait(requests);
+        let result = group.scatter_wait(requests, None, Priority::Normal);
         let replies = result.successes();
         assert_eq!(replies[0], [1, 1]);
         assert_eq!(replies[1], [1, 2]);
@@ -895,7 +500,7 @@ mod tests {
         servers[1].shutdown();
         std::thread::sleep(std::time::Duration::from_millis(50));
         let requests: Vec<_> = (0..3).map(|leaf| (leaf, 1u32, vec![5u8])).collect();
-        let result = group.scatter_wait(requests);
+        let result = group.scatter_wait(requests, None, Priority::Normal);
         assert!(result.replies[0].is_ok());
         assert!(result.replies[1].is_err());
         assert!(result.replies[2].is_ok());
@@ -906,7 +511,7 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_leaf_panics() {
         let (_servers, group) = leaf_cluster(1);
-        group.scatter_wait(vec![(5, 1, Vec::new())]);
+        group.scatter_wait(vec![(5, 1, Vec::new())], None, Priority::Normal);
     }
 
     #[test]
@@ -915,7 +520,7 @@ mod tests {
             .map(|i| Server::spawn(ServerConfig::default(), Arc::new(TaggedEcho(i))).unwrap())
             .collect();
         let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
-        let group = FanoutGroup::connect_pooled(&addrs, 3).unwrap();
+        let group = FanoutGroup::connect_with(&addrs, 3, None, None).unwrap();
         assert_eq!(group.len(), 2);
         // Repeated picks must rotate through distinct connections.
         let a = Arc::as_ptr(&group.client(0));
@@ -926,7 +531,11 @@ mod tests {
         assert_ne!(b, c);
         assert_eq!(a, d, "pool of 3 wraps after 3 picks");
         for round in 0..10u8 {
-            let result = group.scatter_wait(vec![(0, 1, vec![round]), (1, 1, vec![round])]);
+            let result = group.scatter_wait(
+                vec![(0, 1, vec![round]), (1, 1, vec![round])],
+                None,
+                Priority::Normal,
+            );
             assert!(result.all_ok());
         }
         // Each leaf saw its 10 requests spread over 3 connections.
@@ -943,7 +552,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for round in 0..20u8 {
                     let requests: Vec<_> = (0..4).map(|leaf| (leaf, 1u32, vec![round])).collect();
-                    let result = group.scatter_wait(requests);
+                    let result = group.scatter_wait(requests, None, Priority::Normal);
                     assert!(result.all_ok());
                 }
             }));
@@ -987,13 +596,14 @@ mod tests {
     #[test]
     fn broken_connection_is_skipped_then_reconnected() {
         let server = Server::spawn(ServerConfig::default(), Arc::new(TaggedEcho(7))).unwrap();
-        let group = FanoutGroup::connect_pooled(&[server.local_addr()], 2).unwrap();
+        let group = FanoutGroup::connect_with(&[server.local_addr()], 2, None, None).unwrap();
         assert_eq!(group.live_count(0), 2);
         // Break one connection; picks must route around it.
         group.client(0).shutdown();
         assert_eq!(group.live_count(0), 1);
         for round in 0..4u8 {
-            let result = group.scatter_wait(vec![(0usize, 1u32, vec![round])]);
+            let result =
+                group.scatter_wait(vec![(0usize, 1u32, vec![round])], None, Priority::Normal);
             assert!(result.all_ok(), "live connection must be preferred");
         }
         assert_eq!(group.reconnect(0).unwrap(), 1, "one closed connection replaced");
@@ -1011,7 +621,7 @@ mod tests {
         let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
         let reactor =
             Arc::new(Reactor::start(ReactorConfig { pollers: 2, ..ReactorConfig::default() }));
-        let group = FanoutGroup::connect_with_plan_via(&addrs, 2, None, Some(&reactor)).unwrap();
+        let group = FanoutGroup::connect_with(&addrs, 2, None, Some(&reactor)).unwrap();
         assert!(group.reactor().is_some());
         // Registrations are adopted on the sweepers' next pass; poll
         // rather than racing the adoption.
@@ -1029,7 +639,7 @@ mod tests {
         adopted(6);
         for round in 0..5u8 {
             let requests: Vec<_> = (0..3).map(|leaf| (leaf, 1u32, vec![round])).collect();
-            let result = group.scatter_wait(requests);
+            let result = group.scatter_wait(requests, None, Priority::Normal);
             assert!(result.all_ok());
         }
         // Break one connection; the replacement must register with the
@@ -1037,7 +647,7 @@ mod tests {
         group.client(0).shutdown();
         assert_eq!(group.reconnect(0).unwrap(), 1);
         adopted(7); // the replacement registers with the same reactor
-        let result = group.scatter_wait(vec![(0usize, 1u32, vec![9u8])]);
+        let result = group.scatter_wait(vec![(0usize, 1u32, vec![9u8])], None, Priority::Normal);
         assert!(result.all_ok());
     }
 
@@ -1059,7 +669,7 @@ mod tests {
         let group = FanoutGroup::connect(&addrs).unwrap();
         let requests: Vec<_> = (0..3).map(|leaf| (leaf, 1u32, vec![0u8])).collect();
         let (tx, rx) = std::sync::mpsc::channel();
-        group.scatter_opts(
+        group.scatter(
             requests,
             Some(std::time::Duration::from_millis(200)),
             Priority::Critical,
@@ -1080,125 +690,15 @@ mod tests {
     }
 
     #[test]
-    fn merged_scatters_coalesce_same_leaf_subcalls() {
-        let (_servers, group) = leaf_cluster(2);
-        let group = Arc::new(
-            group.with_batching(BatchPolicy::new(4, std::time::Duration::from_millis(20))),
-        );
-        // Four concurrent scatters each hit both leaves; same-leaf
-        // sub-calls coalesce inside the 20ms merge window.
-        let mut handles = Vec::new();
-        for round in 0..4u8 {
-            let group = group.clone();
-            handles.push(std::thread::spawn(move || {
-                let requests = vec![(0usize, 1u32, vec![round]), (1, 1, vec![round])];
-                let result = group.scatter_wait(requests);
-                assert!(result.all_ok());
-                for (leaf, reply) in result.successes().iter().enumerate() {
-                    assert_eq!(reply, &[leaf as u8, round]);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let stats = group.batch_stats().expect("batching is on");
-        assert_eq!(stats.members(), 8, "every sub-call goes through the merge path");
-        assert!(
-            stats.batches() < 8,
-            "concurrent same-leaf sub-calls must coalesce, got {} batches",
-            stats.batches()
-        );
-    }
-
-    #[test]
-    fn merge_delay_expiry_flushes_partial_batch() {
-        let (_servers, group) = leaf_cluster(1);
-        let group = group.with_batching(BatchPolicy::new(64, std::time::Duration::from_millis(5)));
-        // A single sub-call can never fill a 64-wide batch; only the
-        // delay flusher gets it onto the wire.
-        let result = group.scatter_wait(vec![(0usize, 1u32, vec![7u8])]);
-        assert!(result.all_ok());
-        let stats = group.batch_stats().unwrap();
-        assert_eq!(stats.flushes(musuite_telemetry::batching::FlushReason::DelayExpired), 1);
-    }
-
-    #[test]
-    fn merge_off_policy_keeps_direct_path() {
-        let (_servers, group) = leaf_cluster(1);
-        let group = group.with_batching(BatchPolicy::off());
-        assert!(group.batch_stats().is_none());
-        let result = group.scatter_wait(vec![(0usize, 1u32, vec![1u8])]);
-        assert!(result.all_ok());
-    }
-
-    #[test]
-    fn merge_zero_delay_flushes_immediately() {
-        let (_servers, group) = leaf_cluster(1);
-        let group = group.with_batching(BatchPolicy::new(8, std::time::Duration::ZERO));
-        for round in 0..3u8 {
-            let result = group.scatter_wait(vec![(0usize, 1u32, vec![round])]);
-            assert!(result.all_ok());
-        }
-        let stats = group.batch_stats().unwrap();
-        assert_eq!(stats.members(), 3);
-        assert_eq!(stats.batches(), 3, "zero delay means nothing waits for stragglers");
-    }
-
-    #[test]
-    fn expired_member_dropped_from_merged_batch_not_batchmates() {
-        let (_servers, group) = leaf_cluster(1);
-        let group = Arc::new(
-            group.with_batching(BatchPolicy::new(8, std::time::Duration::from_millis(40))),
-        );
-        let (tx, rx) = std::sync::mpsc::channel();
-        // A member whose budget is far smaller than the merge window
-        // expires while parked; its batchmate must still be served.
-        let expired_tx = tx.clone();
-        group.issue(
-            0,
-            1,
-            vec![1u8],
-            Some(std::time::Duration::from_millis(1)),
-            Priority::Normal,
-            move |r| expired_tx.send(("expired", r)).unwrap(),
-        );
-        group.issue(0, 1, vec![2u8], None, Priority::Normal, move |r| {
-            tx.send(("healthy", r)).unwrap()
-        });
-        let mut outcomes = std::collections::HashMap::new();
-        for _ in 0..2 {
-            let (who, result) = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-            outcomes.insert(who, result);
-        }
-        assert!(
-            matches!(outcomes["expired"], Err(RpcError::TimedOut)),
-            "parked past its deadline: {:?}",
-            outcomes["expired"]
-        );
-        assert_eq!(outcomes["healthy"].as_ref().unwrap()[..], [0u8, 2]);
-    }
-
-    #[test]
-    fn dropping_group_completes_parked_subcalls() {
-        let (_servers, group) = leaf_cluster(1);
-        let group =
-            group.with_batching(BatchPolicy::new(64, std::time::Duration::from_secs(3600)));
-        let (tx, rx) = std::sync::mpsc::channel();
-        group.issue(0, 1, vec![9u8], None, Priority::Normal, move |r| tx.send(r).unwrap());
-        // The hour-long merge window never elapses; dropping the group
-        // must force-flush the parked call rather than strand it.
-        drop(group);
-        let result = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-        assert_eq!(result.unwrap()[..], [0u8, 9]);
-    }
-
-    #[test]
     fn shutdown_all_fails_fast() {
         let (_servers, group) = leaf_cluster(2);
         group.shutdown_all();
         group.shutdown_all();
-        let result = group.scatter_wait(vec![(0usize, 1u32, vec![1]), (1, 1, vec![2])]);
+        let result = group.scatter_wait(
+            vec![(0usize, 1u32, vec![1]), (1, 1, vec![2])],
+            None,
+            Priority::Normal,
+        );
         assert_eq!(result.err_count(), 2);
         for (_, error) in result.failures() {
             assert_eq!(error.failure_kind(), FailureKind::Transport);
@@ -1220,7 +720,8 @@ mod tests {
         });
         let group = FanoutGroup::connect(&[server.local_addr(), stuck_addr]).unwrap();
         let requests = vec![(0usize, 1u32, vec![1u8]), (1, 1, vec![2u8])];
-        let result = group.scatter_wait_deadline(requests, std::time::Duration::from_millis(200));
+        let timeout = Some(std::time::Duration::from_millis(200));
+        let result = group.scatter_wait(requests, timeout, Priority::Normal);
         assert!(result.replies[0].is_ok(), "healthy leaf replied");
         assert!(
             matches!(result.replies[1], Err(RpcError::TimedOut)),
@@ -1237,7 +738,7 @@ mod model_tests {
     use super::*;
     use musuite_check::{thread, Checker};
 
-    /// `scatter_deadline`'s gather race: a leaf response and the reaper's
+    /// A deadline-bounded scatter's gather race: a leaf response and the reaper's
     /// `TimedOut` arrive concurrently on different slots. In every
     /// interleaving the merge runs exactly once — on whichever arrival is
     /// last — and observes both slots filled.

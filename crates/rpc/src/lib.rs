@@ -23,7 +23,7 @@
 //! | thread-per-connection baseline | [`config::NetworkModel::BlockingPerConn`] |
 //! | producer–consumer task queue | [`queue::DispatchQueue`] |
 //! | worker thread pool | [`server::Server`] workers |
-//! | async leaf clients | [`client::RpcClient::call_async`] |
+//! | async leaf clients | [`client::RpcClient::call_async_opts`] |
 //! | response threads | [`client::RpcClient`] readers / client reactor |
 //! | fan-out + count-down merge | [`fanout::FanoutGroup`] |
 //! | block- vs poll-based designs (§VII) | [`config::WaitMode`] |
@@ -80,8 +80,10 @@ pub use admission::{AdmissionControl, AdmissionPermit, LimitChange};
 pub use buf::{
     BufferPool, ConnWriter, FrameAccumulator, FrameReader, FrameWriter, Payload, PooledBuf,
 };
-pub use client::{BatchCall, RpcClient};
-pub use config::{AdmissionModel, BatchPolicy, ExecutionModel, NetworkModel, ServerConfig, WaitMode};
+pub use client::RpcClient;
+pub use config::{
+    AdmissionModel, BatchPolicy, ExecutionModel, NetworkModel, ServerConfig, WaitMode,
+};
 pub use error::{FailureKind, RpcError};
 pub use fanout::FanoutGroup;
 pub use fault::{ClientFaults, FaultEvent, FaultKind, FaultPlan, FaultRule};

@@ -25,9 +25,12 @@
 //!
 //! With the default [`ResilientConfig`] every knob is off or inert and a
 //! scatter behaves exactly like [`FanoutGroup::scatter`] plus breaker
-//! accounting; the production fast path stays unchanged.
+//! accounting; the production fast path stays unchanged. Every attempt
+//! is one [`RpcClient::call_async_opts`] on a connection the group
+//! picks, so fault rules and deadlines apply to each one.
 //!
 //! [`RpcClient`]: crate::client::RpcClient
+//! [`RpcClient::call_async_opts`]: crate::client::RpcClient::call_async_opts
 
 use crate::buf::Payload;
 use crate::error::RpcError;
@@ -458,30 +461,20 @@ impl ResilientFanout {
     /// `on_complete` when every slot has delivered (a winning response or
     /// its final error). Slot order in the result matches `calls` order.
     ///
+    /// The scatter is bounded by an end-to-end `timeout` (the caller's
+    /// remaining budget) and carries `priority` on every attempt's wire
+    /// frame. Each attempt — primary, hedge, or retry — is clamped to
+    /// whatever is left of the budget when it launches, so a retry after
+    /// backoff departs with a *smaller* budget than the primary, and a
+    /// slot whose budget is exhausted fails fast instead of issuing work
+    /// nobody is waiting for.
+    ///
     /// An empty call list completes immediately on the calling thread.
     ///
     /// # Panics
     ///
     /// Panics if any target index is out of bounds.
-    pub fn scatter<F>(self: &Arc<Self>, calls: Vec<LeafCall>, on_complete: F)
-    where
-        F: FnOnce(FanoutResult) + Send + 'static,
-    {
-        self.scatter_opts(calls, None, Priority::Normal, on_complete);
-    }
-
-    /// As [`ResilientFanout::scatter`], bounded by an end-to-end `timeout`
-    /// (the caller's remaining budget) and carrying `priority` on every
-    /// attempt's wire frame. Each attempt — primary, hedge, or retry — is
-    /// clamped to whatever is left of the budget when it launches, so a
-    /// retry after backoff departs with a *smaller* budget than the
-    /// primary, and a slot whose budget is exhausted fails fast instead of
-    /// issuing work nobody is waiting for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any target index is out of bounds.
-    pub fn scatter_opts<F>(
+    pub fn scatter<F>(
         self: &Arc<Self>,
         calls: Vec<LeafCall>,
         timeout: Option<Duration>,
@@ -533,24 +526,18 @@ impl ResilientFanout {
     }
 
     /// Blocking variant of [`ResilientFanout::scatter`].
-    pub fn scatter_wait(self: &Arc<Self>, calls: Vec<LeafCall>) -> FanoutResult {
-        let (tx, rx) = std::sync::mpsc::channel();
-        self.scatter(calls, move |result| {
-            let _ = tx.send(result);
-        });
-        // lint: allow(expect): every slot delivers exactly once, so the completion always runs
-        rx.recv().expect("resilient scatter completion always runs")
-    }
-
-    /// Blocking variant of [`ResilientFanout::scatter_opts`].
-    pub fn scatter_wait_opts(
+    ///
+    /// # Panics
+    ///
+    /// Panics if any target index is out of bounds.
+    pub fn scatter_wait(
         self: &Arc<Self>,
         calls: Vec<LeafCall>,
         timeout: Option<Duration>,
         priority: Priority,
     ) -> FanoutResult {
         let (tx, rx) = std::sync::mpsc::channel();
-        self.scatter_opts(calls, timeout, priority, move |result| {
+        self.scatter(calls, timeout, priority, move |result| {
             let _ = tx.send(result);
         });
         // lint: allow(expect): every slot delivers exactly once, so the completion always runs
@@ -618,10 +605,7 @@ impl ResilientFanout {
         let callback = move |result: Result<Bytes, RpcError>| {
             this.on_attempt_done(&slot_cb, target, is_hedge, started, result);
         };
-        // Through the group's request path, so attempts from concurrent
-        // scatters merge into one envelope when batching is enabled.
-        self.group.issue(
-            target,
+        self.group.client(target).call_async_opts(
             slot.method,
             slot.payload.clone(),
             attempt_limit,
@@ -862,7 +846,7 @@ mod tests {
         let (_servers, group) = leaf_cluster(3);
         let rf = ResilientFanout::new(group, ResilientConfig::default());
         let calls: Vec<_> = (0..3).map(|leaf| LeafCall::new(leaf, 1, vec![9u8])).collect();
-        let result = rf.scatter_wait(calls);
+        let result = rf.scatter_wait(calls, None, Priority::Normal);
         assert!(result.all_ok());
         for (leaf, reply) in result.successes().iter().enumerate() {
             assert_eq!(reply, &[leaf as u8, 9]);
@@ -874,41 +858,8 @@ mod tests {
     fn empty_scatter_completes_immediately() {
         let (_servers, group) = leaf_cluster(1);
         let rf = ResilientFanout::new(group, ResilientConfig::default());
-        let result = rf.scatter_wait(Vec::new());
+        let result = rf.scatter_wait(Vec::new(), None, Priority::Normal);
         assert!(result.replies.is_empty());
-    }
-
-    #[test]
-    fn attempts_route_through_merge_batching() {
-        use crate::config::BatchPolicy;
-        let servers: Vec<Server> = (0..2)
-            .map(|i| Server::spawn(ServerConfig::default(), Arc::new(TaggedEcho(i))).unwrap())
-            .collect();
-        let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
-        let group = Arc::new(
-            FanoutGroup::connect(&addrs)
-                .unwrap()
-                .with_batching(BatchPolicy::new(4, Duration::from_millis(10))),
-        );
-        let rf = ResilientFanout::new(group.clone(), ResilientConfig::default());
-        let mut handles = Vec::new();
-        for round in 0..4u8 {
-            let rf = rf.clone();
-            handles.push(std::thread::spawn(move || {
-                let calls: Vec<_> =
-                    (0..2).map(|leaf| LeafCall::new(leaf, 1, vec![round])).collect();
-                let result = rf.scatter_wait(calls);
-                assert!(result.all_ok());
-                for (leaf, reply) in result.successes().iter().enumerate() {
-                    assert_eq!(reply, &[leaf as u8, round]);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let stats = group.batch_stats().expect("batching is on");
-        assert_eq!(stats.members(), 8, "every resilient attempt takes the merge path");
     }
 
     #[test]
@@ -924,7 +875,7 @@ mod tests {
         };
         let rf = ResilientFanout::new(group, config);
         let call = LeafCall::new(0, 1, vec![7u8]).with_alternates(vec![1]);
-        let result = rf.scatter_wait(vec![call]);
+        let result = rf.scatter_wait(vec![call], None, Priority::Normal);
         assert!(result.all_ok(), "retry must fail over to the healthy replica: {result:?}");
         assert_eq!(result.successes()[0], [1u8, 7], "served by the alternate leaf");
         assert!(rf.counters().get(ResilienceEvent::Retry) >= 1);
@@ -942,7 +893,7 @@ mod tests {
             ..ResilientConfig::default()
         };
         let rf = ResilientFanout::new(group, config);
-        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])]);
+        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])], None, Priority::Normal);
         assert_eq!(result.err_count(), 1);
         assert_eq!(result.kind_of(0), Some(FailureKind::Transport));
         assert_eq!(rf.counters().get(ResilienceEvent::Retry), 1);
@@ -960,12 +911,13 @@ mod tests {
         let rf = ResilientFanout::new(group, config);
         // First calls fail as transport errors and charge the breaker.
         for _ in 0..2 {
-            let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])]);
+            let result =
+                rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])], None, Priority::Normal);
             assert_eq!(result.err_count(), 1);
         }
         assert_eq!(rf.counters().get(ResilienceEvent::BreakerOpened), 1);
         // Now the breaker sheds instantly without touching the socket.
-        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])]);
+        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])], None, Priority::Normal);
         assert_eq!(result.kind_of(0), Some(FailureKind::ShedBreaker));
         assert!(matches!(result.replies[0], Err(RpcError::CircuitOpen)));
     }
@@ -992,7 +944,7 @@ mod tests {
         };
         let rf = ResilientFanout::new(group, config);
         let started = Instant::now();
-        let result = rf.scatter_wait_opts(
+        let result = rf.scatter_wait(
             vec![LeafCall::new(0, 1, vec![1u8])],
             Some(Duration::from_millis(80)),
             Priority::Sheddable,
@@ -1019,23 +971,23 @@ mod tests {
         // While armed, leaf 0 is dead: every send disconnects, reconnects
         // are refused. Disarming simulates the leaf coming back.
         let plan = FaultPlan::builder(23, 1).dead_leaf(0).build();
-        let group = Arc::new(FanoutGroup::connect_with_plan(&addrs, 1, Some(&plan)).unwrap());
+        let group = Arc::new(FanoutGroup::connect_with(&addrs, 1, Some(&plan), None).unwrap());
         let config = ResilientConfig {
             breaker: Some(BreakerConfig { threshold: 1, cooldown: Duration::from_millis(30) }),
             ..ResilientConfig::default()
         };
         let rf = ResilientFanout::new(group, config);
         plan.arm();
-        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])]);
+        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])], None, Priority::Normal);
         assert_eq!(result.err_count(), 1);
         assert_eq!(rf.counters().get(ResilienceEvent::BreakerOpened), 1);
         // Shed while the cooldown is pending.
-        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])]);
+        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![1u8])], None, Priority::Normal);
         assert!(matches!(result.replies[0], Err(RpcError::CircuitOpen)), "{result:?}");
         // The leaf recovers; the half-open probe reconnects and closes.
         plan.disarm();
         std::thread::sleep(Duration::from_millis(60));
-        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![2u8])]);
+        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![2u8])], None, Priority::Normal);
         assert!(result.all_ok(), "half-open probe must recover: {result:?}");
         assert!(rf.counters().get(ResilienceEvent::BreakerProbe) >= 1);
         assert!(rf.counters().get(ResilienceEvent::BreakerClosed) >= 1);
@@ -1048,7 +1000,7 @@ mod tests {
         let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
         // Leaf 0's sends are held back 300ms; leaf 1 is healthy.
         let plan = FaultPlan::builder(21, 2).slow_leaf(0, Duration::from_millis(300)).build();
-        let group = Arc::new(FanoutGroup::connect_with_plan(&addrs, 1, Some(&plan)).unwrap());
+        let group = Arc::new(FanoutGroup::connect_with(&addrs, 1, Some(&plan), None).unwrap());
         let config = ResilientConfig {
             hedge: HedgePolicy::After(Duration::from_millis(20)),
             breaker: None,
@@ -1058,7 +1010,7 @@ mod tests {
         plan.arm();
         let started = Instant::now();
         let call = LeafCall::new(0, 1, vec![3u8]).with_alternates(vec![1]);
-        let result = rf.scatter_wait(vec![call]);
+        let result = rf.scatter_wait(vec![call], None, Priority::Normal);
         let elapsed = started.elapsed();
         assert!(result.all_ok(), "hedge must win: {result:?}");
         assert_eq!(result.successes()[0], [1u8, 3], "the hedge's replica answered");
@@ -1084,7 +1036,8 @@ mod tests {
         let rf = ResilientFanout::new(group, config);
         assert_eq!(rf.hedge_delay(), None, "no estimate before 64 attempts");
         for round in 0..70u8 {
-            let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![round])]);
+            let result =
+                rf.scatter_wait(vec![LeafCall::new(0, 1, vec![round])], None, Priority::Normal);
             assert!(result.all_ok());
         }
         let delay = rf.hedge_delay().expect("estimate after warm-up");
@@ -1109,7 +1062,7 @@ mod tests {
                 },
             )
             .build();
-        let group = Arc::new(FanoutGroup::connect_with_plan(&addrs, 1, Some(&plan)).unwrap());
+        let group = Arc::new(FanoutGroup::connect_with(&addrs, 1, Some(&plan), None).unwrap());
         let config = ResilientConfig {
             retries: 2,
             backoff: Duration::from_millis(10),
@@ -1119,7 +1072,7 @@ mod tests {
         };
         let rf = ResilientFanout::new(group, config);
         plan.arm();
-        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![0xAB])]);
+        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![0xAB])], None, Priority::Normal);
         assert!(result.all_ok(), "retry after checksum rejection must succeed: {result:?}");
         assert_eq!(result.successes()[0], [0u8, 0xAB], "data intact after retry");
         assert!(rf.counters().get(ResilienceEvent::Retry) >= 1);
@@ -1135,7 +1088,7 @@ mod tests {
             ..ResilientConfig::default()
         };
         let rf = ResilientFanout::new(group, config);
-        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![5u8])]);
+        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![5u8])], None, Priority::Normal);
         assert!(result.all_ok());
         rf.shutdown();
         rf.shutdown();
@@ -1143,7 +1096,7 @@ mod tests {
         // queued hedge settles instantly) instead of hanging on a timer.
         _servers[0].shutdown();
         let started = Instant::now();
-        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![6u8])]);
+        let result = rf.scatter_wait(vec![LeafCall::new(0, 1, vec![6u8])], None, Priority::Normal);
         assert_eq!(result.err_count(), 1);
         assert!(started.elapsed() < Duration::from_secs(5), "must not wait for the 60s hedge");
     }

@@ -39,8 +39,7 @@ use crate::stats::ServerStats;
 use musuite_check::atomic::{AtomicBool, Ordering};
 use musuite_check::sync::Mutex;
 use musuite_check::thread::{Builder, JoinHandle};
-use musuite_codec::batch::decode_batch;
-use musuite_codec::frame::{FrameHeader, FrameKind};
+use musuite_codec::frame::FrameKind;
 use musuite_codec::{Frame, Priority, Status};
 use musuite_telemetry::admission::{AdmissionCounters, AdmissionEvent};
 use musuite_telemetry::breakdown::Stage;
@@ -174,33 +173,29 @@ impl Server {
                         .name(format!("musuite-worker-{i}"))
                         .spawn(move || {
                             let clock = Clock::new();
-                            if batch.is_on() {
-                                // Batched unit of work: one park/unpark per
-                                // drained batch. Expired members are dropped
-                                // from the batch, never the batch from the
-                                // queue, so one stale request cannot discard
-                                // its batchmates.
-                                while let Some((members, reason)) =
-                                    queue.pop_batch(batch.max_size(), batch.max_delay())
-                                {
+                            // One loop for every policy: `BatchPolicy::off()`
+                            // drains batches of one. Expired members are
+                            // dropped from the batch, never the batch from
+                            // the queue, so one stale request cannot discard
+                            // its batchmates.
+                            while let Some((members, reason)) =
+                                queue.pop_batch(batch.max_size(), batch.max_delay())
+                            {
+                                if batch.is_on() {
                                     stats.batching().record_batch(members.len(), reason);
-                                    let live: Vec<RequestContext> = members
-                                        .into_iter()
-                                        .filter_map(|ctx| {
-                                            screen_dequeued(&admission, &stats, &clock, ctx)
-                                        })
-                                        .collect();
-                                    if !live.is_empty() {
-                                        service.call_batch(live);
-                                    }
                                 }
-                            } else {
-                                while let Some(ctx) = queue.pop() {
-                                    if let Some(ctx) =
+                                let mut live: Vec<RequestContext> = members
+                                    .into_iter()
+                                    .filter_map(|ctx| {
                                         screen_dequeued(&admission, &stats, &clock, ctx)
-                                    {
-                                        service.call(ctx);
-                                    }
+                                    })
+                                    .collect();
+                                // A lone member keeps the per-request kernel;
+                                // two or more share the batch kernel.
+                                match live.len() {
+                                    0 => {}
+                                    1 => service.call(live.remove(0)),
+                                    _ => service.call_batch(live),
                                 }
                             }
                         })
@@ -417,11 +412,11 @@ fn shed_event(priority: Priority) -> AdmissionEvent {
     }
 }
 
-/// Per-member dequeue bookkeeping shared by the single-request and
-/// batched worker loops: feeds the queue-delay signal (what the
-/// breakdown's Block stage samples) to the adaptive limiter, then
-/// screens out requests whose deadline expired while queued — the
-/// caller has given up, so abandoned work must never occupy a worker.
+/// Per-member dequeue bookkeeping of the worker loop: feeds the
+/// queue-delay signal (what the breakdown's Block stage samples) to the
+/// adaptive limiter, then screens out requests whose deadline expired
+/// while queued — the caller has given up, so abandoned work must never
+/// occupy a worker.
 /// Returns the context only when it should still execute.
 fn screen_dequeued(
     admission: &AdmissionControl,
@@ -448,12 +443,9 @@ fn screen_dequeued(
 
 /// Routes one decoded frame through the request pipeline — the protocol
 /// edge shared by both network models. `OneWay` frames go straight to
-/// the service; `Request` frames become one context; `Batch` frames are
-/// unpacked into per-member contexts so admission, shedding, and expiry
-/// stay *per sub-request* (a merged frame must account identically to
-/// the same requests sent individually). A batch envelope that fails to
-/// decode despite the outer checksum is a peer bug and is dropped whole;
-/// anything else (responses on a server connection) is ignored.
+/// the service; `Request` frames become one context each, so admission,
+/// shedding, and expiry act per request; responses on a server
+/// connection are ignored.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_frame(
     frame: Frame,
@@ -470,17 +462,6 @@ fn dispatch_frame(
         FrameKind::Request => {
             let ctx = RequestContext::new(frame, received, writer.clone(), stats.clone());
             admit_and_dispatch(admission, stats, queue, service, model, ctx);
-        }
-        FrameKind::Batch => {
-            let Ok(entries) = decode_batch(&frame.payload) else { return };
-            for entry in entries {
-                let header =
-                    FrameHeader::new(FrameKind::Request, entry.request_id, entry.method, Status::Ok)
-                        .with_budget(entry.deadline_budget_us, entry.priority);
-                let member = Frame { header, payload: entry.payload };
-                let ctx = RequestContext::new(member, received, writer.clone(), stats.clone());
-                admit_and_dispatch(admission, stats, queue, service, model, ctx);
-            }
         }
         FrameKind::Response => {}
     }
@@ -960,14 +941,117 @@ mod tests {
 
     #[test]
     fn garbage_bytes_close_connection_without_crash() {
-        use std::io::Write;
-        let server = Server::spawn(ServerConfig::default(), Arc::new(Echo)).unwrap();
-        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-        raw.write_all(b"this is not a frame at all............").unwrap();
-        // The poller detects bad magic and drops the connection; a healthy
-        // client must still work.
+        use std::io::{ErrorKind, Read, Write};
+        // Kind byte 3 was the retired multi-request envelope; a peer may
+        // still send it, and it must be refused like any malformed frame.
+        let mut retired_kind = Frame::request(1, 1, b"envelope".to_vec()).to_bytes();
+        retired_kind[6] = 3;
+        let inputs = [b"this is not a frame at all............".to_vec(), retired_kind];
+        for model in [NetworkModel::BlockingPerConn, NetworkModel::SharedPollers { pollers: 1 }] {
+            let mut config = ServerConfig::default();
+            config.network_model(model);
+            let server = Server::spawn(config, Arc::new(Echo)).unwrap();
+            for input in &inputs {
+                let served = server.stats().requests();
+                let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+                raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                raw.write_all(input).unwrap();
+                // The edge rejects the frame and drops the connection
+                // without answering or dispatching anything...
+                let mut reply = [0u8; 64];
+                match raw.read(&mut reply) {
+                    Ok(0) => {}
+                    Ok(n) => panic!("under {model:?}: a malformed frame got a {n}-byte answer"),
+                    Err(e) => assert!(
+                        !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                        "under {model:?}: the connection was left open"
+                    ),
+                }
+                assert_eq!(server.stats().requests(), served, "under {model:?}");
+                // ...and a healthy client must still work.
+                let client = RpcClient::connect(server.local_addr()).unwrap();
+                assert_eq!(client.call(1, b"ok".to_vec()).unwrap(), b"ok");
+            }
+        }
+    }
+
+    #[test]
+    fn lone_members_take_call_and_larger_batches_take_call_batch() {
+        use crate::config::BatchPolicy;
+        use musuite_check::atomic::AtomicU64;
+        /// Counts the requests each kernel served; a `hold` request parks
+        /// its worker until the test releases it.
+        #[derive(Default)]
+        struct Kernels {
+            single: AtomicU64,
+            batched: AtomicU64,
+            hold: std::sync::Mutex<Option<std::sync::mpsc::Receiver<()>>>,
+        }
+        impl Service for Kernels {
+            fn call(&self, ctx: RequestContext) {
+                self.single.fetch_add(1, Ordering::Relaxed);
+                if ctx.payload() == b"hold" {
+                    let release = self.hold.lock().unwrap().take();
+                    if let Some(release) = release {
+                        release.recv().unwrap();
+                    }
+                }
+                ctx.respond_ok(Vec::new());
+            }
+            fn call_batch(&self, batch: Vec<RequestContext>) {
+                self.batched.fetch_add(batch.len() as u64, Ordering::Relaxed);
+                for ctx in batch {
+                    ctx.respond_ok(Vec::new());
+                }
+            }
+        }
+
+        // Off: every request is a batch of one, and no batch is recorded.
+        let kernels = Arc::new(Kernels::default());
+        let mut config = ServerConfig::default();
+        config.workers(1);
+        let server = Server::spawn(config, kernels.clone()).unwrap();
         let client = RpcClient::connect(server.local_addr()).unwrap();
-        assert_eq!(client.call(1, b"ok".to_vec()).unwrap(), b"ok");
+        for _ in 0..5 {
+            client.call(1, Vec::new()).unwrap();
+        }
+        assert_eq!(kernels.single.load(Ordering::Relaxed), 5);
+        assert_eq!(kernels.batched.load(Ordering::Relaxed), 0);
+        assert_eq!(server.stats().batching().batches(), 0, "batch stats only when batching");
+
+        // On: a request arriving alone still takes `call`; four queued
+        // behind a parked worker drain as one batch into `call_batch`.
+        let kernels = Arc::new(Kernels::default());
+        let (release, parked) = std::sync::mpsc::channel();
+        *kernels.hold.lock().unwrap() = Some(parked);
+        let mut config = ServerConfig::default();
+        config.workers(1).batch_policy(BatchPolicy::new(8, Duration::ZERO));
+        let server = Server::spawn(config, kernels.clone()).unwrap();
+        let client = RpcClient::connect(server.local_addr()).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        for payload in [&b"hold"[..], b"a", b"b", b"c", b"d"] {
+            let tx = tx.clone();
+            client.call_async_opts(1, payload.to_vec(), None, Priority::Normal, move |r| {
+                tx.send(r).unwrap()
+            });
+            if payload == b"hold" {
+                while kernels.single.load(Ordering::Relaxed) == 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }
+        while server.stats().requests() < 5 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(20)); // admitted → queued
+        release.send(()).unwrap();
+        for _ in 0..5 {
+            rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
+        }
+        assert_eq!(kernels.single.load(Ordering::Relaxed), 1, "the lone hold request");
+        assert_eq!(kernels.batched.load(Ordering::Relaxed), 4, "the four queued behind it");
+        let batching = server.stats().batching();
+        assert_eq!((batching.batches(), batching.members()), (2, 5));
     }
 
     /// Holds every request until released, so tests can pin the gate's
@@ -1012,7 +1096,7 @@ mod tests {
         // threshold while leaving Normal headroom.
         for _ in 0..2 {
             let tx = tx.clone();
-            client.call_async(1, Vec::new(), move |result| {
+            client.call_async_opts(1, Vec::new(), None, Priority::Normal, move |result| {
                 tx.send(result).unwrap();
             });
         }
@@ -1031,7 +1115,7 @@ mod tests {
         // ...while a normal-class arrival still clears the gate.
         {
             let tx = tx.clone();
-            client.call_async(1, Vec::new(), move |result| {
+            client.call_async_opts(1, Vec::new(), None, Priority::Normal, move |result| {
                 tx.send(result).unwrap();
             });
         }
@@ -1070,7 +1154,7 @@ mod tests {
         let server = Server::spawn(config, Arc::new(Tracking { ran: ran.clone() })).unwrap();
         let client = Arc::new(RpcClient::connect(server.local_addr()).unwrap());
         // Occupy the lone worker with an unbounded request...
-        client.call_async(1, Vec::new(), |_| {});
+        client.call_async_opts(1, Vec::new(), None, Priority::Normal, |_| {});
         // ...then queue a request whose budget expires long before the
         // worker frees up. It must be answered without ever running.
         let err = client
@@ -1102,9 +1186,15 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         for i in 0..100u32 {
             let tx = tx.clone();
-            client.call_async(1, i.to_le_bytes().to_vec(), move |result| {
-                tx.send(result.unwrap()).unwrap();
-            });
+            client.call_async_opts(
+                1,
+                i.to_le_bytes().to_vec(),
+                None,
+                Priority::Normal,
+                move |result| {
+                    tx.send(result.unwrap()).unwrap();
+                },
+            );
         }
         drop(tx);
         let mut replies = 0;
@@ -1134,20 +1224,26 @@ mod tests {
         }
         let ran = Arc::new(AtomicU64::new(0));
         let mut config = ServerConfig::default();
-        config
-            .workers(1)
-            .queue_capacity(8)
-            .batch_policy(BatchPolicy::new(4, Duration::ZERO));
+        config.workers(1).queue_capacity(8).batch_policy(BatchPolicy::new(4, Duration::ZERO));
         let server = Server::spawn(config, Arc::new(Tracking { ran: ran.clone() })).unwrap();
         let client = Arc::new(RpcClient::connect(server.local_addr()).unwrap());
-        // Occupy the lone worker...
-        client.call_async(1, Vec::new(), |_| {});
-        std::thread::sleep(Duration::from_millis(5));
+        // Occupy the lone worker (wait until it is running, so the hog is
+        // never drained into the same batch as the requests below)...
+        client.call_async_opts(1, Vec::new(), None, Priority::Normal, |_| {});
+        while ran.load(Ordering::Relaxed) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         // ...then queue one request that will expire behind the hog and
         // one unbounded batchmate that must still execute.
-        client.call_async_opts(1, Vec::new(), Some(Duration::from_millis(5)), Priority::Normal, |_| {});
+        client.call_async_opts(
+            1,
+            Vec::new(),
+            Some(Duration::from_millis(5)),
+            Priority::Normal,
+            |_| {},
+        );
         let (tx, rx) = std::sync::mpsc::channel();
-        client.call_async(1, Vec::new(), move |result| {
+        client.call_async_opts(1, Vec::new(), None, Priority::Normal, move |result| {
             tx.send(result).unwrap();
         });
         rx.recv().unwrap().unwrap();

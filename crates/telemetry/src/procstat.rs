@@ -4,11 +4,19 @@
 //! `Sched`/`Active-Exe` stages come from eBPF `runqlat`. The kernel exports
 //! both signals through procfs without any probe privileges:
 //!
-//! * `/proc/self/status` — `voluntary_ctxt_switches` and
-//!   `nonvoluntary_ctxt_switches` per thread; summed over
-//!   `/proc/self/task/*` for the whole process.
+//! * `/proc/self/task/<tid>/status` — `voluntary_ctxt_switches` and
+//!   `nonvoluntary_ctxt_switches` per thread.
 //! * `/proc/self/task/<tid>/schedstat` — cumulative on-CPU time, **run-queue
 //!   wait time** (exactly what `runqlat` histograms), and timeslice count.
+//!
+//! A sample keeps each live thread's reading next to the process total,
+//! and the difference of two samples is taken per thread id: a thread
+//! contributes its count now minus its count in the earlier sample (or
+//! minus zero if it is new). Threads that exit between the samples are
+//! absent from the later one, so they can never subtract from the
+//! survivors — subtracting process totals instead would drop every count
+//! an exited thread had accumulated, and saturate at zero whenever
+//! short-lived threads (a concurrent test's, say) come and go.
 //!
 //! On non-Linux hosts both samplers degrade to zeroed readings so the suite
 //! still builds and runs (the figures then lean on the userspace probes).
@@ -17,16 +25,73 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::ops::Sub;
-use std::path::Path;
 use std::time::Duration;
 
+/// Per-thread counters `(tid, counts)` of one sample, sorted by tid.
+type ThreadCounts<const N: usize> = Vec<(u32, [u64; N])>;
+
+/// Reads `/proc/self/task/<tid>/<file>` for every live thread and parses
+/// it into counters. Threads that exit mid-scan are skipped.
+fn sample_threads<const N: usize>(
+    file: &str,
+    parse: impl Fn(&str) -> Option<[u64; N]>,
+) -> io::Result<ThreadCounts<N>> {
+    let mut threads = Vec::new();
+    for entry in fs::read_dir("/proc/self/task")? {
+        let entry = entry?;
+        let Some(tid) = entry.file_name().to_str().and_then(|name| name.parse().ok()) else {
+            continue;
+        };
+        if let Some(counts) =
+            fs::read_to_string(entry.path().join(file)).ok().and_then(|t| parse(&t))
+        {
+            threads.push((tid, counts));
+        }
+    }
+    threads.sort_unstable_by_key(|&(tid, _)| tid);
+    Ok(threads)
+}
+
+/// Sums the counters of `threads` over all threads.
+fn total_of<const N: usize>(threads: &[(u32, [u64; N])]) -> [u64; N] {
+    let mut total = [0; N];
+    for (_, counts) in threads {
+        for (sum, count) in total.iter_mut().zip(counts) {
+            *sum += count;
+        }
+    }
+    total
+}
+
+/// `later - earlier`, taken per thread id: each thread of `later`
+/// contributes its counts minus its counts in `earlier`, or minus zero if
+/// it is new. A thread that exited in between is absent from `later` and
+/// contributes nothing.
+fn delta_by_tid<const N: usize>(
+    later: &[(u32, [u64; N])],
+    earlier: &[(u32, [u64; N])],
+) -> [u64; N] {
+    let mut delta = [0; N];
+    for (tid, now) in later {
+        let before =
+            earlier.binary_search_by_key(tid, |&(t, _)| t).map_or([0; N], |index| earlier[index].1);
+        for ((sum, now), before) in delta.iter_mut().zip(now).zip(before) {
+            *sum += now.saturating_sub(before);
+        }
+    }
+    delta
+}
+
 /// A point-in-time reading of process-wide context-switch counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ContextSwitches {
     /// Context switches where the thread yielded the CPU itself (blocking).
     pub voluntary: u64,
     /// Context switches forced by the scheduler (preemption).
     pub nonvoluntary: u64,
+    /// The per-thread readings behind the totals; empty for differences
+    /// and hand-built values.
+    threads: ThreadCounts<2>,
 }
 
 impl ContextSwitches {
@@ -37,25 +102,21 @@ impl ContextSwitches {
     /// Returns an error if procfs is unreadable (non-Linux hosts should use
     /// [`ContextSwitches::sample_or_default`]).
     pub fn sample() -> io::Result<ContextSwitches> {
-        let mut total = ContextSwitches::default();
-        for entry in fs::read_dir("/proc/self/task")? {
-            let entry = entry?;
-            if let Ok(cs) = Self::parse_status(&entry.path().join("status")) {
-                total.voluntary += cs.voluntary;
-                total.nonvoluntary += cs.nonvoluntary;
-            }
-        }
-        Ok(total)
+        let threads = sample_threads("status", |text| {
+            let cs = Self::parse_status_text(text);
+            Some([cs.voluntary, cs.nonvoluntary])
+        })?;
+        Ok(Self::from_threads(threads))
+    }
+
+    fn from_threads(threads: ThreadCounts<2>) -> ContextSwitches {
+        let [voluntary, nonvoluntary] = total_of(&threads);
+        ContextSwitches { voluntary, nonvoluntary, threads }
     }
 
     /// Samples context switches, returning zeros when procfs is unavailable.
     pub fn sample_or_default() -> ContextSwitches {
         Self::sample().unwrap_or_default()
-    }
-
-    fn parse_status(path: &Path) -> io::Result<ContextSwitches> {
-        let text = fs::read_to_string(path)?;
-        Ok(Self::parse_status_text(&text))
     }
 
     fn parse_status_text(text: &str) -> ContextSwitches {
@@ -79,11 +140,18 @@ impl ContextSwitches {
 impl Sub for ContextSwitches {
     type Output = ContextSwitches;
 
+    /// Switches since `earlier`: per thread id when both sides are
+    /// samples, otherwise the totals' difference, saturating at zero.
     fn sub(self, earlier: ContextSwitches) -> ContextSwitches {
-        ContextSwitches {
-            voluntary: self.voluntary.saturating_sub(earlier.voluntary),
-            nonvoluntary: self.nonvoluntary.saturating_sub(earlier.nonvoluntary),
-        }
+        let [voluntary, nonvoluntary] = if self.threads.is_empty() || earlier.threads.is_empty() {
+            [
+                self.voluntary.saturating_sub(earlier.voluntary),
+                self.nonvoluntary.saturating_sub(earlier.nonvoluntary),
+            ]
+        } else {
+            delta_by_tid(&self.threads, &earlier.threads)
+        };
+        ContextSwitches { voluntary, nonvoluntary, threads: Vec::new() }
     }
 }
 
@@ -98,7 +166,7 @@ impl fmt::Display for ContextSwitches {
 /// `run_delay` is the cumulative time threads of this process spent
 /// *runnable but waiting for a CPU* — the kernel's ground truth for the
 /// paper's `Active-Exe`/`Sched` stages.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedStat {
     /// Cumulative time spent executing on a CPU.
     pub on_cpu: Duration,
@@ -106,6 +174,9 @@ pub struct SchedStat {
     pub run_delay: Duration,
     /// Number of timeslices run.
     pub timeslices: u64,
+    /// The per-thread readings behind the totals (on-CPU ns, run-delay
+    /// ns, timeslices); empty for differences and hand-built values.
+    threads: ThreadCounts<3>,
 }
 
 impl SchedStat {
@@ -115,19 +186,19 @@ impl SchedStat {
     ///
     /// Returns an error if procfs is unreadable.
     pub fn sample() -> io::Result<SchedStat> {
-        let mut total = SchedStat::default();
-        for entry in fs::read_dir("/proc/self/task")? {
-            let entry = entry?;
-            let path = entry.path().join("schedstat");
-            if let Ok(text) = fs::read_to_string(&path) {
-                if let Some(stat) = Self::parse(&text) {
-                    total.on_cpu += stat.on_cpu;
-                    total.run_delay += stat.run_delay;
-                    total.timeslices += stat.timeslices;
-                }
-            }
-        }
+        let threads = sample_threads("schedstat", Self::parse_counts)?;
+        let mut total = Self::from_counts(total_of(&threads));
+        total.threads = threads;
         Ok(total)
+    }
+
+    fn from_counts([on_cpu_ns, run_delay_ns, timeslices]: [u64; 3]) -> SchedStat {
+        SchedStat {
+            on_cpu: Duration::from_nanos(on_cpu_ns),
+            run_delay: Duration::from_nanos(run_delay_ns),
+            timeslices,
+            threads: Vec::new(),
+        }
     }
 
     /// Samples schedstat, returning zeros when procfs is unavailable.
@@ -135,25 +206,26 @@ impl SchedStat {
         Self::sample().unwrap_or_default()
     }
 
-    fn parse(text: &str) -> Option<SchedStat> {
+    fn parse_counts(text: &str) -> Option<[u64; 3]> {
         let mut parts = text.split_whitespace();
         let on_cpu_ns: u64 = parts.next()?.parse().ok()?;
         let run_delay_ns: u64 = parts.next()?.parse().ok()?;
         let timeslices: u64 = parts.next()?.parse().ok()?;
-        Some(SchedStat {
-            on_cpu: Duration::from_nanos(on_cpu_ns),
-            run_delay: Duration::from_nanos(run_delay_ns),
-            timeslices,
-        })
+        Some([on_cpu_ns, run_delay_ns, timeslices])
     }
 
-    /// Difference `self - earlier`, saturating at zero.
+    /// Difference `self - earlier`: per thread id when both sides are
+    /// samples, otherwise the totals' difference, saturating at zero.
     pub fn since(&self, earlier: &SchedStat) -> SchedStat {
-        SchedStat {
-            on_cpu: self.on_cpu.saturating_sub(earlier.on_cpu),
-            run_delay: self.run_delay.saturating_sub(earlier.run_delay),
-            timeslices: self.timeslices.saturating_sub(earlier.timeslices),
+        if self.threads.is_empty() || earlier.threads.is_empty() {
+            return SchedStat {
+                on_cpu: self.on_cpu.saturating_sub(earlier.on_cpu),
+                run_delay: self.run_delay.saturating_sub(earlier.run_delay),
+                timeslices: self.timeslices.saturating_sub(earlier.timeslices),
+                threads: Vec::new(),
+            };
         }
+        Self::from_counts(delta_by_tid(&self.threads, &earlier.threads))
     }
 
     /// Mean run-queue delay per timeslice, or zero if no slices ran.
@@ -289,7 +361,8 @@ mod tests {
 
     #[test]
     fn parse_schedstat() {
-        let stat = SchedStat::parse("12345678 987654 321\n").unwrap();
+        let stat =
+            SchedStat::from_counts(SchedStat::parse_counts("12345678 987654 321\n").unwrap());
         assert_eq!(stat.on_cpu, Duration::from_nanos(12_345_678));
         assert_eq!(stat.run_delay, Duration::from_nanos(987_654));
         assert_eq!(stat.timeslices, 321);
@@ -297,14 +370,14 @@ mod tests {
 
     #[test]
     fn parse_schedstat_garbage() {
-        assert!(SchedStat::parse("not numbers").is_none());
-        assert!(SchedStat::parse("1 2").is_none());
+        assert!(SchedStat::parse_counts("not numbers").is_none());
+        assert!(SchedStat::parse_counts("1 2").is_none());
     }
 
     #[test]
     fn subtraction_saturates() {
-        let a = ContextSwitches { voluntary: 5, nonvoluntary: 5 };
-        let b = ContextSwitches { voluntary: 10, nonvoluntary: 2 };
+        let a = ContextSwitches { voluntary: 5, nonvoluntary: 5, ..Default::default() };
+        let b = ContextSwitches { voluntary: 10, nonvoluntary: 2, ..Default::default() };
         let d = a - b;
         assert_eq!(d.voluntary, 0);
         assert_eq!(d.nonvoluntary, 3);
@@ -312,16 +385,8 @@ mod tests {
 
     #[test]
     fn schedstat_since_and_mean() {
-        let earlier = SchedStat {
-            on_cpu: Duration::from_nanos(100),
-            run_delay: Duration::from_nanos(50),
-            timeslices: 5,
-        };
-        let later = SchedStat {
-            on_cpu: Duration::from_nanos(300),
-            run_delay: Duration::from_nanos(150),
-            timeslices: 15,
-        };
+        let earlier = SchedStat::from_counts([100, 50, 5]);
+        let later = SchedStat::from_counts([300, 150, 15]);
         let d = later.since(&earlier);
         assert_eq!(d.run_delay, Duration::from_nanos(100));
         assert_eq!(d.timeslices, 10);
@@ -383,7 +448,28 @@ mod tests {
 
     #[test]
     fn context_switch_display() {
-        let cs = ContextSwitches { voluntary: 1, nonvoluntary: 2 };
+        let cs = ContextSwitches { voluntary: 1, nonvoluntary: 2, ..Default::default() };
         assert_eq!(cs.to_string(), "1 voluntary + 2 nonvoluntary");
+    }
+
+    #[test]
+    fn exited_thread_never_subtracts_from_survivors() {
+        // Thread 11 ran up large counts and exited; thread 12 is new.
+        // Process totals shrink (1100 -> 150 voluntary), yet 30 + 20
+        // voluntary switches happened in between.
+        let earlier = ContextSwitches::from_threads(vec![(10, [100, 5]), (11, [1000, 50])]);
+        let later = ContextSwitches::from_threads(vec![(10, [130, 6]), (12, [20, 1])]);
+        assert!(later.total() < earlier.total());
+        let delta = later - earlier;
+        assert_eq!((delta.voluntary, delta.nonvoluntary), (50, 2));
+
+        let mut earlier = SchedStat::from_counts([0; 3]);
+        earlier.threads = vec![(10, [1_000, 100, 10]), (11, [9_000, 900, 90])];
+        let mut later = SchedStat::from_counts([0; 3]);
+        later.threads = vec![(10, [1_500, 150, 12]), (12, [400, 40, 4])];
+        let delta = later.since(&earlier);
+        assert_eq!(delta.on_cpu, Duration::from_nanos(900));
+        assert_eq!(delta.run_delay, Duration::from_nanos(90));
+        assert_eq!(delta.timeslices, 6);
     }
 }

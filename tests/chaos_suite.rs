@@ -13,7 +13,10 @@ use musuite::core::degrade::Degraded;
 use musuite::core::error::ServiceError;
 use musuite::core::leaf::LeafHandler;
 use musuite::core::midtier::{MidTierHandler, Plan};
-use musuite::rpc::{FaultKind, FaultPlan, HedgePolicy, ResilientConfig, RpcError};
+use musuite::rpc::{
+    BatchPolicy, FaultKind, FaultPlan, HedgePolicy, NetworkModel, ResilientConfig, RpcError,
+    ServerConfig,
+};
 use musuite::telemetry::resilience::ResilienceEvent;
 use std::time::{Duration, Instant};
 
@@ -84,6 +87,35 @@ impl MidTierHandler for PrimaryWithFailover {
     }
 }
 
+/// The server setup a scenario runs its mid-tier and leaves on. Each
+/// fault scenario below runs on both, with unchanged assertions.
+#[derive(Debug, Clone, Copy)]
+enum Tiers {
+    /// `ServerConfig::default()`: per-connection pollers, unbatched
+    /// dispatch.
+    Default,
+    /// The `setalgebra_pollers_batched` benchmark setup on the mid-tier
+    /// and every leaf: two shared pollers, and workers draining batches of
+    /// up to 8 with a 50 µs straggler window. Every mid-tier→leaf send
+    /// still crosses the client's fault shim.
+    Batched,
+}
+
+impl Tiers {
+    fn apply(self, config: ClusterConfig) -> ClusterConfig {
+        match self {
+            Tiers::Default => config,
+            Tiers::Batched => {
+                let mut server = ServerConfig::default();
+                server
+                    .network_model(NetworkModel::SharedPollers { pollers: 2 })
+                    .batch_policy(BatchPolicy::new(8, Duration::from_micros(50)));
+                config.midtier_config(server.clone()).leaf_config(server)
+            }
+        }
+    }
+}
+
 fn p99(mut samples: Vec<Duration>) -> Duration {
     assert!(!samples.is_empty());
     samples.sort_unstable();
@@ -92,6 +124,15 @@ fn p99(mut samples: Vec<Duration>) -> Duration {
 
 #[test]
 fn dead_leaf_degrades_hdsearch_and_recommend_without_losing_availability() {
+    dead_leaf_scenario(Tiers::Default);
+}
+
+#[test]
+fn dead_leaf_degrades_hdsearch_and_recommend_on_batched_servers() {
+    dead_leaf_scenario(Tiers::Batched);
+}
+
+fn dead_leaf_scenario(tiers: Tiers) {
     use musuite::data::ratings::{RatingsConfig, RatingsDataset};
     use musuite::data::vectors::{VectorDataset, VectorDatasetConfig};
     use musuite::hdsearch::lsh::LshConfig;
@@ -99,7 +140,7 @@ fn dead_leaf_degrades_hdsearch_and_recommend_without_losing_availability() {
     use musuite::recommend::service::RecommendService;
 
     let seed = 0xC4A05_u64;
-    println!("chaos seed: {seed}");
+    println!("chaos seed: {seed}, tiers: {tiers:?}");
 
     // --- HDSearch: 4 shards, shard 2 dead. ---
     let plan = FaultPlan::builder(seed, 4).dead_leaf(2).build();
@@ -115,7 +156,7 @@ fn dead_leaf_degrades_hdsearch_and_recommend_without_losing_availability() {
     // all four shards, making the degradation contract exact.
     let lsh = LshConfig { tables: 8, hashes_per_table: 4, bucket_width: 16.0, probes: 9, seed: 42 };
     let service = HdSearchService::launch_with(
-        ClusterConfig::new().leaves(4).fault_plan(plan.clone()),
+        tiers.apply(ClusterConfig::new().leaves(4).fault_plan(plan.clone())),
         ds,
         lsh,
     )
@@ -150,7 +191,7 @@ fn dead_leaf_degrades_hdsearch_and_recommend_without_losing_availability() {
         seed: 31,
     });
     let service = RecommendService::launch_with(
-        ClusterConfig::new().leaves(4).fault_plan(plan.clone()),
+        tiers.apply(ClusterConfig::new().leaves(4).fault_plan(plan.clone())),
         &data,
         Default::default(),
         10,
@@ -170,8 +211,17 @@ fn dead_leaf_degrades_hdsearch_and_recommend_without_losing_availability() {
 
 #[test]
 fn slow_leaf_hedging_bounds_the_tail() {
+    slow_leaf_scenario(Tiers::Default);
+}
+
+#[test]
+fn slow_leaf_hedging_bounds_the_tail_on_batched_servers() {
+    slow_leaf_scenario(Tiers::Batched);
+}
+
+fn slow_leaf_scenario(tiers: Tiers) {
     let seed = 0x51_0e_u64;
-    println!("chaos seed: {seed}");
+    println!("chaos seed: {seed}, tiers: {tiers:?}");
     let service_time = Duration::from_millis(5);
     // The primary replica stalls every request at 10x the fault-free p50.
     // The hedge delay is fixed rather than quantile-derived: with EVERY
@@ -189,7 +239,8 @@ fn slow_leaf_hedging_bounds_the_tail() {
             ..Default::default()
         });
     let cluster =
-        Cluster::launch(config, PrimaryWithFailover, |_| SlowSquareLeaf(service_time)).unwrap();
+        Cluster::launch(tiers.apply(config), PrimaryWithFailover, |_| SlowSquareLeaf(service_time))
+            .unwrap();
     let client = cluster.client::<u64, u64>().unwrap();
 
     let measure = |n: usize| -> Vec<Duration> {
@@ -224,7 +275,6 @@ fn slow_leaf_hedging_bounds_the_tail() {
 
 #[test]
 fn shared_poller_midtier_keeps_dead_leaf_and_hedging_guarantees() {
-    use musuite::rpc::{NetworkModel, ServerConfig};
     let seed = 0x9011E7_u64;
     println!("chaos seed: {seed}");
     // Same dead-primary + failover contract as the per-connection suite,
@@ -269,8 +319,17 @@ fn shared_poller_midtier_keeps_dead_leaf_and_hedging_guarantees() {
 
 #[test]
 fn corruption_is_detected_and_retried_never_served() {
+    corruption_scenario(Tiers::Default);
+}
+
+#[test]
+fn corruption_is_detected_and_retried_on_batched_servers() {
+    corruption_scenario(Tiers::Batched);
+}
+
+fn corruption_scenario(tiers: Tiers) {
     let seed = 0xBADF00D_u64;
-    println!("chaos seed: {seed}");
+    println!("chaos seed: {seed}, tiers: {tiers:?}");
     // Leaf 1 corrupts every 3rd frame on the wire; the server's checksum
     // must reject each one and the retry path must re-send it intact.
     let plan = FaultPlan::builder(seed, 2).corrupting_leaf(1, 3).build();
@@ -281,7 +340,9 @@ fn corruption_is_detected_and_retried_never_served() {
             backoff: Duration::from_millis(1),
             ..Default::default()
         });
-    let cluster = Cluster::launch(config, SumSquares, |_| SlowSquareLeaf(Duration::ZERO)).unwrap();
+    let cluster =
+        Cluster::launch(tiers.apply(config), SumSquares, |_| SlowSquareLeaf(Duration::ZERO))
+            .unwrap();
     let client = cluster.client::<u64, Degraded<u64>>().unwrap();
     plan.arm();
     for q in 0..60u64 {
@@ -300,8 +361,17 @@ fn corruption_is_detected_and_retried_never_served() {
 
 #[test]
 fn flapping_leaf_is_ridden_out_by_retries() {
+    flapping_scenario(Tiers::Default);
+}
+
+#[test]
+fn flapping_leaf_is_ridden_out_on_batched_servers() {
+    flapping_scenario(Tiers::Batched);
+}
+
+fn flapping_scenario(tiers: Tiers) {
     let seed = 0xF1AB_u64;
-    println!("chaos seed: {seed}");
+    println!("chaos seed: {seed}, tiers: {tiers:?}");
     let plan = FaultPlan::builder(seed, 4).flapping_leaf(3, 4).build();
     let config =
         ClusterConfig::new().leaves(4).fault_plan(plan.clone()).resilience(ResilientConfig {
@@ -310,7 +380,9 @@ fn flapping_leaf_is_ridden_out_by_retries() {
             backoff: Duration::from_millis(1),
             ..Default::default()
         });
-    let cluster = Cluster::launch(config, SumSquares, |_| SlowSquareLeaf(Duration::ZERO)).unwrap();
+    let cluster =
+        Cluster::launch(tiers.apply(config), SumSquares, |_| SlowSquareLeaf(Duration::ZERO))
+            .unwrap();
     let client = cluster.client::<u64, Degraded<u64>>().unwrap();
     plan.arm();
     for q in 0..80u64 {
@@ -327,16 +399,27 @@ fn flapping_leaf_is_ridden_out_by_retries() {
 
 #[test]
 fn fault_plans_replay_byte_for_byte_from_their_seed() {
+    replay_scenario(Tiers::Default);
+}
+
+#[test]
+fn fault_plans_replay_from_their_seed_on_batched_servers() {
+    replay_scenario(Tiers::Batched);
+}
+
+fn replay_scenario(tiers: Tiers) {
     let seed = 0x5EED_u64;
-    println!("chaos seed: {seed}");
+    println!("chaos seed: {seed}, tiers: {tiers:?}");
     let run = |seed: u64| -> String {
         let plan = FaultPlan::builder(seed, 3).dead_leaf(2).build();
         // Retries and breakers off: the fault log is then a pure function
         // of (seed, per-leaf call sequence), which serial queries fix.
-        let config = ClusterConfig::new()
-            .leaves(3)
-            .fault_plan(plan.clone())
-            .resilience(ResilientConfig { breaker: None, ..Default::default() });
+        let config = tiers.apply(
+            ClusterConfig::new()
+                .leaves(3)
+                .fault_plan(plan.clone())
+                .resilience(ResilientConfig { breaker: None, ..Default::default() }),
+        );
         let cluster =
             Cluster::launch(config, SumSquares, |_| SlowSquareLeaf(Duration::ZERO)).unwrap();
         let client = cluster.client::<u64, Degraded<u64>>().unwrap();
@@ -478,9 +561,7 @@ fn overload_burst_sheds_by_class_and_accounts_for_every_request() {
 fn overload_burst_with_batching_still_accounts_for_every_request() {
     use musuite::loadgen::arrival::ArrivalProcess;
     use musuite::loadgen::open_loop::{self, OpenLoopConfig, PriorityMix};
-    use musuite::rpc::{
-        BatchPolicy, NetworkModel, RequestContext, Server, ServerConfig, Service,
-    };
+    use musuite::rpc::{RequestContext, Server, Service};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 

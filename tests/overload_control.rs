@@ -58,24 +58,19 @@ impl Service for RelayMid {
         };
         let priority = ctx.priority();
         let payload = ctx.payload().to_vec();
-        self.leaves.scatter_opts(
-            vec![(0usize, 1u32, payload)],
-            remaining,
-            priority,
-            move |result| {
-                match result.replies.into_iter().next().expect("one scattered slot") {
-                    Ok(bytes) => ctx.respond_ok(bytes.to_vec()),
-                    // A timed-out or expired leaf call is a deadline failure as
-                    // far as the front-end is concerned; anything else is plain
-                    // unavailability.
-                    Err(
-                        e @ (RpcError::TimedOut
-                        | RpcError::Remote { status: Status::DeadlineExpired, .. }),
-                    ) => ctx.respond_err(Status::DeadlineExpired, e.to_string()),
-                    Err(e) => ctx.respond_err(Status::Unavailable, e.to_string()),
-                }
-            },
-        );
+        self.leaves.scatter(vec![(0usize, 1u32, payload)], remaining, priority, move |result| {
+            match result.replies.into_iter().next().expect("one scattered slot") {
+                Ok(bytes) => ctx.respond_ok(bytes.to_vec()),
+                // A timed-out or expired leaf call is a deadline failure as
+                // far as the front-end is concerned; anything else is plain
+                // unavailability.
+                Err(
+                    e @ (RpcError::TimedOut
+                    | RpcError::Remote { status: Status::DeadlineExpired, .. }),
+                ) => ctx.respond_err(Status::DeadlineExpired, e.to_string()),
+                Err(e) => ctx.respond_err(Status::Unavailable, e.to_string()),
+            }
+        });
     }
 }
 
@@ -182,7 +177,7 @@ fn pre_expired_request_is_never_executed_at_the_leaf() {
 
     // Occupy the leaf's only worker with a deadline-less slow request.
     let (tx, rx) = std::sync::mpsc::channel();
-    tiers.client.call_async(1, b"slow".to_vec(), move |result| {
+    tiers.client.call_async_opts(1, b"slow".to_vec(), None, Priority::Normal, move |result| {
         let _ = tx.send(result.is_ok());
     });
     std::thread::sleep(Duration::from_millis(15));

@@ -1,8 +1,8 @@
 //! Fault-injection and robustness tests for the RPC substrate.
 
 use musuite::rpc::{
-    ExecutionModel, NetworkModel, Reactor, ReactorConfig, RequestContext, RpcClient, RpcError,
-    Server, ServerConfig, Service, Status, WaitMode,
+    ExecutionModel, NetworkModel, Priority, Reactor, ReactorConfig, RequestContext, RpcClient,
+    RpcError, Server, ServerConfig, Service, Status, WaitMode,
 };
 use std::io::Write;
 use std::net::TcpStream;
@@ -68,7 +68,7 @@ fn queue_overflow_sheds_with_unavailable() {
     let (tx, rx) = std::sync::mpsc::channel();
     for _ in 0..20 {
         let tx = tx.clone();
-        client.call_async(1, Vec::new(), move |result| {
+        client.call_async_opts(1, Vec::new(), None, Priority::Normal, move |result| {
             tx.send(result).unwrap();
         });
     }
@@ -104,7 +104,9 @@ fn shared_pollers_hold_network_threads_fixed_under_256_connections() {
     // client side of this test is also O(1) threads.
     let reactor = Arc::new(Reactor::start(ReactorConfig { pollers: 2, ..Default::default() }));
     let clients: Vec<Arc<RpcClient>> = (0..256)
-        .map(|_| Arc::new(RpcClient::connect_via(server.local_addr(), &reactor).unwrap()))
+        .map(|_| {
+            Arc::new(RpcClient::connect_with(server.local_addr(), None, Some(&reactor)).unwrap())
+        })
         .collect();
 
     // Every connection issues a request concurrently; every one completes
@@ -112,9 +114,15 @@ fn shared_pollers_hold_network_threads_fixed_under_256_connections() {
     let (tx, rx) = std::sync::mpsc::channel();
     for (i, client) in clients.iter().enumerate() {
         let tx = tx.clone();
-        client.call_async(1, (i as u32).to_le_bytes().to_vec(), move |result| {
-            tx.send((i, result)).unwrap();
-        });
+        client.call_async_opts(
+            1,
+            (i as u32).to_le_bytes().to_vec(),
+            None,
+            Priority::Normal,
+            move |result| {
+                tx.send((i, result)).unwrap();
+            },
+        );
     }
     drop(tx);
     let mut seen = vec![false; clients.len()];
@@ -169,9 +177,15 @@ fn concurrent_mixed_sync_async_traffic() {
     let async_count = 100u32;
     for i in 0..async_count {
         let tx = tx.clone();
-        client.call_async(1, i.to_le_bytes().to_vec(), move |result| {
-            tx.send(result.is_ok()).unwrap();
-        });
+        client.call_async_opts(
+            1,
+            i.to_le_bytes().to_vec(),
+            None,
+            Priority::Normal,
+            move |result| {
+                tx.send(result.is_ok()).unwrap();
+            },
+        );
     }
     let mut threads = Vec::new();
     for t in 0..4u32 {
@@ -227,7 +241,7 @@ fn fanout_survives_stuck_and_garbage_leaves() {
     let requests: Vec<(usize, u32, Payload)> = (0..3)
         .map(|leaf| (leaf, 1u32, Payload::with_suffix(shared.clone(), vec![leaf as u8])))
         .collect();
-    let result = group.scatter_wait_deadline(requests, Duration::from_millis(300));
+    let result = group.scatter_wait(requests, Some(Duration::from_millis(300)), Priority::Normal);
 
     // Slot N holds leaf N's outcome regardless of completion order.
     assert_eq!(result.replies.len(), 3);
