@@ -8,8 +8,9 @@
 //! * [`encode`]/[`decode`] — [`Encode`]/[`Decode`] traits implemented for
 //!   the standard types services exchange (integers, floats, strings,
 //!   byte buffers, options, vectors, tuples, maps),
-//! * [`frame`] — the length-prefixed, checksummed frame layer carrying an
-//!   RPC header (request id, method, status) plus an opaque payload.
+//! * [`frame`] — the length-prefixed, checksummed frame layer carrying a
+//!   fixed 36-byte RPC header (request id, method, status, deadline
+//!   budget, priority) plus an opaque payload.
 //!
 //! # Examples
 //!
@@ -35,10 +36,7 @@ pub use bytes::BufMut;
 pub use decode::Decode;
 pub use encode::Encode;
 pub use error::DecodeError;
-pub use frame::{
-    Frame, FrameHeader, FrameKind, FramePrefix, Priority, Status, HEADER_LEN, HEADER_LEN_V2,
-    MAX_FRAME_LEN, MAX_HEADER_LEN,
-};
+pub use frame::{Frame, FrameKind, Priority, Status};
 
 /// Encodes a value into a fresh byte vector.
 ///

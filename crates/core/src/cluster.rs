@@ -152,7 +152,6 @@ impl Cluster {
                 Some(Arc::new(Reactor::start(ReactorConfig {
                     pollers,
                     wait_mode: config.midtier.wait_mode_value(),
-                    sweep_budget: config.midtier.sweep_budget_value(),
                     idle_timeout: config.midtier.idle_timeout_value(),
                 })))
             }

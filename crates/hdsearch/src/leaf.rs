@@ -73,7 +73,8 @@ impl HdSearchLeaf {
     /// are computed, and the `(distance, global id)` sort key orders
     /// equal elements identically regardless of scoring order.
     pub fn search_batch(&self, queries: &[LeafSearchRequest]) -> Vec<Vec<Neighbor>> {
-        let mut wanted: std::collections::HashMap<u64, Vec<usize>> = std::collections::HashMap::new();
+        let mut wanted: std::collections::HashMap<u64, Vec<usize>> =
+            std::collections::HashMap::new();
         for (slot, request) in queries.iter().enumerate() {
             for &local in &request.candidates {
                 wanted.entry(local).or_default().push(slot);
@@ -229,8 +230,7 @@ mod tests {
         ];
         let batched = leaf.search_batch(&requests);
         for (request, batch) in requests.iter().zip(&batched) {
-            let sequential =
-                leaf.search(&request.vector, &request.candidates, request.k as usize);
+            let sequential = leaf.search(&request.vector, &request.candidates, request.k as usize);
             assert_eq!(batch, &sequential);
         }
     }

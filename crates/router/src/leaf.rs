@@ -80,8 +80,7 @@ impl LeafHandler for RouterLeaf {
     /// read-your-writes inside a batch holds, and every response is
     /// identical to handling the same requests one at a time.
     fn handle_batch(&self, requests: Vec<KvRequest>) -> Vec<Result<KvResponse, ServiceError>> {
-        let mut results: Vec<Result<KvResponse, ServiceError>> =
-            Vec::with_capacity(requests.len());
+        let mut results: Vec<Result<KvResponse, ServiceError>> = Vec::with_capacity(requests.len());
         let mut pending_gets: Vec<String> = Vec::new();
         for request in requests {
             match request {
@@ -131,7 +130,7 @@ mod tests {
             KvRequest::Get { key: "a".into() },
             KvRequest::Get { key: "missing".into() },
             KvRequest::Set { key: "a".into(), value: vec![2] }, // overwrite mid-batch
-            KvRequest::Get { key: "a".into() }, // must see the overwrite
+            KvRequest::Get { key: "a".into() },                 // must see the overwrite
             KvRequest::Get { key: "b".into() },
             KvRequest::Delete { key: "a".into() },
             KvRequest::Get { key: "a".into() }, // must see the delete

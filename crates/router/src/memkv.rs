@@ -358,23 +358,16 @@ mod tests {
 
     #[test]
     fn grouped_get_matches_sequential_gets() {
-        let sequential = MemKv::new(MemKvConfig {
-            capacity_bytes: 1 << 20,
-            shards: 4,
-            default_ttl: None,
-        });
-        let grouped = MemKv::new(MemKvConfig {
-            capacity_bytes: 1 << 20,
-            shards: 4,
-            default_ttl: None,
-        });
+        let sequential =
+            MemKv::new(MemKvConfig { capacity_bytes: 1 << 20, shards: 4, default_ttl: None });
+        let grouped =
+            MemKv::new(MemKvConfig { capacity_bytes: 1 << 20, shards: 4, default_ttl: None });
         for store in [&sequential, &grouped] {
             for i in 0..20 {
                 store.set(&format!("k{i}"), vec![i as u8]);
             }
         }
-        let keys: Vec<String> =
-            (0..25).map(|i| format!("k{}", i * 7 % 23)).collect(); // hits and misses, repeats
+        let keys: Vec<String> = (0..25).map(|i| format!("k{}", i * 7 % 23)).collect(); // hits and misses, repeats
         let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
         let batched = grouped.get_many(&refs);
         let one_by_one: Vec<Option<Vec<u8>>> = refs.iter().map(|k| sequential.get(k)).collect();

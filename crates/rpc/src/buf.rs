@@ -9,25 +9,21 @@
 //!   leaf a reference-counted clone of the same allocation; the per-leaf
 //!   suffix rides in the second segment. Length and checksum are computed
 //!   across the segment boundary, so the two are never joined in memory.
-//! * [`FrameReader`] — a socket read loop with a persistent [`BytesMut`]:
-//!   the header lands in a stack buffer, the payload in pooled memory
-//!   that is frozen into a [`Bytes`] and handed out without a copy.
-//! * [`FrameWriter`] — the serialized write half of a connection with a
-//!   reusable scratch buffer, so response/request serialization reuses
-//!   one allocation for the life of the connection instead of building a
-//!   fresh `Vec` per frame.
-//! * [`FrameAccumulator`] — the non-blocking counterpart of
-//!   [`FrameReader`] for reactor-owned sockets: an incremental state
-//!   machine that absorbs whatever bytes are available and yields complete
-//!   frames, preserving the same pooled-buffer zero-copy path.
-//! * [`ConnWriter`] — a thread-safe coalescing writer: frames queued while
-//!   another thread is flushing the same connection ride out in that
-//!   thread's single buffered write, shrinking the `sendmsg` column of the
-//!   syscall-profile analog.
+//! * [`FrameAccumulator`] — the one frame decoder: an incremental state
+//!   machine that absorbs whatever bytes a `read` returns and yields
+//!   complete frames. The header lands in a stack array, the payload in
+//!   pooled memory that is frozen into a [`Bytes`] and handed out without
+//!   a copy. Reactor sweeps drive it over non-blocking sockets; the
+//!   per-connection server poller and the client's response thread drive
+//!   it over blocking ones.
+//! * [`ConnWriter`] — the one frame encoder: a thread-safe coalescing
+//!   writer. Frames queued while another thread is flushing the same
+//!   connection ride out in that thread's single buffered write,
+//!   shrinking the `sendmsg` column of the syscall-profile analog.
 
 use bytes::{Bytes, BytesMut};
 use musuite_check::sync::Mutex;
-use musuite_codec::frame::{FrameHeader, FramePrefix, HEADER_LEN, MAX_HEADER_LEN};
+use musuite_codec::frame::{FrameHeader, FramePrefix, HEADER_LEN, MAGIC};
 use musuite_codec::{DecodeError, Frame};
 use musuite_telemetry::clock::Clock;
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
@@ -37,6 +33,11 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
+
+/// Idle read buffers a [`BufferPool`] retains across connection churn;
+/// beyond this, buffers from closed connections are freed rather than
+/// pooled.
+pub(crate) const MAX_IDLE_READ_BUFFERS: usize = 64;
 
 /// A shared pool of reusable read buffers.
 ///
@@ -218,183 +219,27 @@ impl From<&'static [u8]> for Payload {
     }
 }
 
-/// Streaming frame reader with a pooled payload buffer.
+/// Incremental frame decoder: the only one on the wire path.
 ///
-/// Reads the fixed-size header into a stack array, then the payload into
-/// a persistent [`BytesMut`] that is frozen and handed out as a [`Bytes`]
-/// — the frame's payload is *never* copied after leaving the kernel. The
-/// seed path (`Frame::read_from`) allocated a header+payload vector per
-/// frame and then copied the payload out of it; this reader does one
-/// payload-sized buffer per frame and zero copies, and empty payloads
-/// touch the allocator not at all.
-#[derive(Debug)]
-pub struct FrameReader<R> {
-    reader: R,
-    buf: PooledBuf,
-}
-
-impl<R: Read> FrameReader<R> {
-    /// Wraps `reader` with an unpooled payload buffer.
-    pub fn new(reader: R) -> FrameReader<R> {
-        FrameReader { reader, buf: PooledBuf::unpooled() }
-    }
-
-    /// Wraps `reader` with a payload buffer checked out of a
-    /// [`BufferPool`]; when this reader is dropped the buffer (and its
-    /// warmed-up capacity) goes back to the pool for the next connection.
-    pub fn with_buffer(reader: R, buf: PooledBuf) -> FrameReader<R> {
-        FrameReader { reader, buf }
-    }
-
-    /// A shared reference to the underlying reader.
-    pub fn get_ref(&self) -> &R {
-        &self.reader
-    }
-
-    /// Reads exactly one frame (blocking).
-    ///
-    /// # Errors
-    ///
-    /// `io::ErrorKind::UnexpectedEof` on a cleanly closed connection,
-    /// `io::ErrorKind::InvalidData` on malformed frames; other I/O errors
-    /// propagate.
-    pub fn read_frame(&mut self) -> io::Result<Frame> {
-        let mut header = [0u8; MAX_HEADER_LEN];
-        self.reader.read_exact(&mut header[..HEADER_LEN])?;
-        self.finish_frame(header)
-    }
-
-    /// Reads one frame whose first byte was already consumed by a
-    /// readiness probe (the server poller's blocking first-byte read).
-    ///
-    /// # Errors
-    ///
-    /// As [`FrameReader::read_frame`].
-    pub fn read_frame_after_first_byte(&mut self, first: u8) -> io::Result<Frame> {
-        let mut header = [0u8; MAX_HEADER_LEN];
-        header[0] = first;
-        self.reader.read_exact(&mut header[1..HEADER_LEN])?;
-        self.finish_frame(header)
-    }
-
-    /// Finishes a frame whose first [`HEADER_LEN`] header bytes have
-    /// arrived: extended (v2) frames read their trailing budget/priority
-    /// bytes, then the payload lands in the pooled buffer. Baseline
-    /// frames cost exactly the same reads as before the extension.
-    fn finish_frame(&mut self, mut header: [u8; MAX_HEADER_LEN]) -> io::Result<Frame> {
-        let header_len = FramePrefix::header_len([header[0], header[1]]).map_err(invalid_data)?;
-        if header_len > HEADER_LEN {
-            self.reader.read_exact(&mut header[HEADER_LEN..header_len])?;
-        }
-        let prefix = FramePrefix::parse(&header[..header_len]).map_err(invalid_data)?;
-        let payload = if prefix.payload_len == 0 {
-            Bytes::new()
-        } else {
-            // One read_exact into pooled memory, then a zero-copy freeze:
-            // the Bytes handed to the service aliases this read buffer.
-            self.buf.resize(prefix.payload_len, 0);
-            self.reader.read_exact(&mut self.buf[..])?;
-            self.buf.split_to(prefix.payload_len).freeze()
-        };
-        prefix.check_payload(payload).map_err(invalid_data)
-    }
-}
-
-fn invalid_data(e: DecodeError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e)
-}
-
-/// The write half of a connection with a reusable serialization scratch.
+/// [`FrameAccumulator::poll_frame`] reads whatever bytes the socket
+/// returns and yields the next complete frame, or `Ok(None)` when the
+/// read would block or timed out with the frame still incomplete — the
+/// partial header/payload stays buffered and the next call resumes
+/// exactly where this one stopped. On a reactor-owned non-blocking
+/// socket that is "no more bytes this sweep"; on a blocking socket with
+/// a read timeout it is "idle past the timeout". Either way,
+/// [`FrameAccumulator::mid_frame`] tells an idle reaper whether a frame is
+/// half received. The payload is read into pooled memory and frozen into
+/// a [`Bytes`] without a copy.
 ///
-/// Every frame is serialized into the same [`BytesMut`] (cleared, never
-/// shrunk) and written with a single `write_all`, so steady-state framing
-/// performs no allocation. [`FrameWriter::write_parts`] streams a
-/// multi-segment [`Payload`] without joining the segments first.
-#[derive(Debug)]
-pub struct FrameWriter<W> {
-    writer: W,
-    scratch: BytesMut,
-}
-
-impl<W: Write> FrameWriter<W> {
-    /// Wraps `writer` with an empty scratch buffer.
-    pub fn new(writer: W) -> FrameWriter<W> {
-        FrameWriter { writer, scratch: BytesMut::new() }
-    }
-
-    /// A shared reference to the underlying writer.
-    pub fn get_ref(&self) -> &W {
-        &self.writer
-    }
-
-    /// Serializes and writes one complete frame.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying writer.
-    pub fn write_frame(&mut self, frame: &Frame) -> io::Result<()> {
-        self.write_parts(&frame.header, &[&frame.payload])
-    }
-
-    /// Serializes `header` with a payload assembled from `parts` and
-    /// writes it as one `write_all`. Length and checksum span the part
-    /// boundaries, so scattered segments go on the wire without a join.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying writer.
-    pub fn write_parts(&mut self, header: &FrameHeader, parts: &[&[u8]]) -> io::Result<()> {
-        self.scratch.clear();
-        header.encode_with_payload(parts, &mut self.scratch);
-        self.writer.write_all(&self.scratch)
-    }
-
-    /// Fault-injection only: serializes the frame exactly like
-    /// [`FrameWriter::write_parts`], then flips one bit of the serialized
-    /// bytes *after* the checksum was computed — the receiver's
-    /// [`FramePrefix::check_payload`] must reject the frame. Flips the
-    /// last byte, so a non-empty payload is corrupted (empty payloads
-    /// corrupt the checksum field itself, which is equally detected).
-    ///
-    /// [`FramePrefix::check_payload`]: musuite_codec::frame::FramePrefix::check_payload
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying writer.
-    pub fn write_parts_corrupted(
-        &mut self,
-        header: &FrameHeader,
-        parts: &[&[u8]],
-    ) -> io::Result<()> {
-        self.scratch.clear();
-        header.encode_with_payload(parts, &mut self.scratch);
-        let last = self.scratch.len() - 1;
-        self.scratch[last] ^= 0x40;
-        self.writer.write_all(&self.scratch)
-    }
-}
-
-/// Incremental frame decoder for reactor-owned non-blocking sockets.
-///
-/// A reactor sweep calls [`FrameAccumulator::poll_frame`] on each
-/// registered connection; the accumulator reads whatever bytes the kernel
-/// has buffered and returns `Ok(None)` when the socket would block with a
-/// frame still incomplete — the partial header/payload stays buffered and
-/// the next sweep resumes exactly where this one stopped. Complete frames
-/// take the same zero-copy path as [`FrameReader`]: the payload is read
-/// into pooled memory and frozen into a [`Bytes`] without a copy.
-///
-/// Each data-returning `read` ticks the global `recvmsg` counter; probe
-/// reads that return `WouldBlock` are *not* counted — they are the
-/// reactor's stand-in for an epoll readiness check, accounted under the
-/// sweep's `epoll_pwait`-class park instead.
+/// Each data-returning `read` ticks the global `recvmsg` counter; reads
+/// that return `WouldBlock` are *not* counted — they are the caller's
+/// stand-in for an epoll readiness check, accounted under its
+/// `epoll_pwait`-class wait instead.
 #[derive(Debug)]
 pub struct FrameAccumulator {
-    header: [u8; MAX_HEADER_LEN],
+    header: [u8; HEADER_LEN],
     header_filled: usize,
-    /// Bytes of header this frame carries: assumed [`HEADER_LEN`] until
-    /// the magic arrives, then corrected from the frame's version.
-    header_target: usize,
     prefix: Option<FramePrefix>,
     payload_filled: usize,
     buf: PooledBuf,
@@ -404,12 +249,12 @@ pub struct FrameAccumulator {
 
 impl FrameAccumulator {
     /// Creates an accumulator whose payloads fill `buf` (typically checked
-    /// out of the reactor's [`BufferPool`]).
+    /// out of a [`BufferPool`]; the buffer returns there when the
+    /// accumulator is dropped).
     pub fn new(buf: PooledBuf) -> FrameAccumulator {
         FrameAccumulator {
-            header: [0u8; MAX_HEADER_LEN],
+            header: [0u8; HEADER_LEN],
             header_filled: 0,
-            header_target: HEADER_LEN,
             prefix: None,
             payload_filled: 0,
             buf,
@@ -426,7 +271,7 @@ impl FrameAccumulator {
 
     /// Absorbs available bytes from `reader` and returns the next complete
     /// frame with the monotonic timestamp at which its first byte arrived,
-    /// or `Ok(None)` if the socket has no complete frame buffered yet.
+    /// or `Ok(None)` if the read would block or timed out first.
     ///
     /// # Errors
     ///
@@ -438,25 +283,18 @@ impl FrameAccumulator {
         let prefix = match self.prefix {
             Some(p) => p,
             None => {
-                while self.header_filled < self.header_target {
-                    let first_byte = self.header_filled == 0;
-                    let limit = self.header_target;
-                    match self.absorb(reader, first_byte, limit)? {
-                        Some(n) => {
-                            self.header_filled += n;
-                            if self.header_filled >= 2 {
-                                // The magic fixes this frame's real header
-                                // length (v1 or extended).
-                                self.header_target =
-                                    FramePrefix::header_len([self.header[0], self.header[1]])
-                                        .map_err(invalid_data)?;
-                            }
-                        }
+                while self.header_filled < HEADER_LEN {
+                    match self.absorb(reader, HEADER_LEN)? {
+                        Some(n) => self.header_filled += n,
                         None => return Ok(None),
                     }
+                    // Refuse a foreign stream as soon as its magic shows
+                    // rather than waiting for a whole header.
+                    if self.header_filled >= 2 && self.header[..2] != MAGIC {
+                        return Err(invalid_data(DecodeError::BadMagic));
+                    }
                 }
-                let p =
-                    FramePrefix::parse(&self.header[..self.header_target]).map_err(invalid_data)?;
+                let p = FramePrefix::parse(&self.header).map_err(invalid_data)?;
                 self.buf.resize(p.payload_len, 0);
                 self.payload_filled = 0;
                 self.prefix = Some(p);
@@ -464,14 +302,13 @@ impl FrameAccumulator {
             }
         };
         while self.payload_filled < prefix.payload_len {
-            match self.absorb(reader, false, prefix.payload_len)? {
+            match self.absorb(reader, prefix.payload_len)? {
                 Some(n) => self.payload_filled += n,
                 None => return Ok(None),
             }
         }
         self.prefix = None;
         self.header_filled = 0;
-        self.header_target = HEADER_LEN;
         let payload = if prefix.payload_len == 0 {
             Bytes::new()
         } else {
@@ -481,14 +318,11 @@ impl FrameAccumulator {
         Ok(Some((frame, self.rx_start_ns)))
     }
 
-    /// One `read` into whichever region (header or payload) is filling.
-    /// Returns `Ok(None)` on `WouldBlock`, `Ok(Some(n))` on progress.
-    fn absorb<R: Read>(
-        &mut self,
-        reader: &mut R,
-        first_byte: bool,
-        limit: usize,
-    ) -> io::Result<Option<usize>> {
+    /// One `read` into whichever region (header or payload) is filling,
+    /// up to `limit`. Returns `Ok(None)` on `WouldBlock` or a read
+    /// timeout, `Ok(Some(n))` on progress.
+    fn absorb<R: Read>(&mut self, reader: &mut R, limit: usize) -> io::Result<Option<usize>> {
+        let first_byte = !self.mid_frame();
         loop {
             let dst = if self.prefix.is_some() {
                 &mut self.buf[self.payload_filled..limit]
@@ -504,12 +338,20 @@ impl FrameAccumulator {
                     OsOpCounters::global().incr(OsOp::RecvMsg);
                     return Ok(Some(n));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+                {
+                    return Ok(None)
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
     }
+}
+
+fn invalid_data(e: DecodeError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
 #[derive(Debug)]
@@ -672,6 +514,7 @@ impl ConnWriter {
 
 #[cfg(test)]
 mod tests {
+    use super::conn_writer_tests::loopback_pair;
     use super::*;
     use musuite_codec::frame::FrameKind;
     use musuite_codec::Status;
@@ -702,57 +545,55 @@ mod tests {
         assert_eq!(b.parts()[1], [2]);
     }
 
-    #[test]
-    fn writer_reader_roundtrip_through_pipe() {
-        let mut wire = Vec::new();
-        {
-            let mut writer = FrameWriter::new(&mut wire);
-            writer.write_frame(&Frame::request(1, 7, b"first".to_vec())).unwrap();
-            let payload = Payload::with_suffix(Bytes::from(vec![0xAA; 3]), vec![0xBB]);
-            let header = Frame::request(2, 8, Vec::new()).header;
-            writer.write_parts(&header, &payload.parts()).unwrap();
-            writer.write_frame(&Frame::response(1, 7, Status::Ok, Vec::new())).unwrap();
-        }
-        let mut reader = FrameReader::new(&wire[..]);
-        let first = reader.read_frame().unwrap();
-        assert_eq!(first.header.request_id, 1);
-        assert_eq!(first.payload, b"first");
-        let second = reader.read_frame().unwrap();
-        assert_eq!(second.header.request_id, 2);
-        assert_eq!(second.payload, [0xAA, 0xAA, 0xAA, 0xBB]);
-        let third = reader.read_frame().unwrap();
-        assert_eq!(third.header.kind, FrameKind::Response);
-        assert!(third.payload.is_empty());
-        assert!(reader.read_frame().is_err(), "stream exhausted");
+    /// Reads the next frame off a blocking reader the way the
+    /// per-connection poller and the client's response thread do.
+    fn next_frame<R: Read>(acc: &mut FrameAccumulator, reader: &mut R) -> io::Result<Frame> {
+        let polled = acc.poll_frame(reader)?;
+        Ok(polled.expect("a blocking read without a timeout never yields None").0)
     }
 
     #[test]
-    fn reader_first_byte_path_matches_whole_frame() {
-        let bytes = Frame::request(5, 2, b"probe".to_vec()).to_bytes();
-        let mut reader = FrameReader::new(&bytes[1..]);
-        let frame = reader.read_frame_after_first_byte(bytes[0]).unwrap();
-        assert_eq!(frame.header.request_id, 5);
-        assert_eq!(frame.payload, b"probe");
+    fn writer_reader_roundtrip_through_pipe() {
+        let (tx_side, mut rx_side) = loopback_pair();
+        let writer = ConnWriter::new(tx_side);
+        let first = Frame::request(1, 7, b"first".to_vec());
+        writer.write_parts(&first.header, &[&first.payload]).unwrap();
+        let payload = Payload::with_suffix(Bytes::from(vec![0xAA; 3]), vec![0xBB]);
+        let header = Frame::request(2, 8, Vec::new()).header;
+        writer.write_parts(&header, &payload.parts()).unwrap();
+        let last = Frame::response(1, 7, Status::Ok, Vec::new());
+        writer.write_parts(&last.header, &[&last.payload]).unwrap();
+        drop(writer);
+        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
+        let first = next_frame(&mut acc, &mut rx_side).unwrap();
+        assert_eq!(first.header.request_id, 1);
+        assert_eq!(first.payload, b"first");
+        let second = next_frame(&mut acc, &mut rx_side).unwrap();
+        assert_eq!(second.header.request_id, 2);
+        assert_eq!(second.payload, [0xAA, 0xAA, 0xAA, 0xBB]);
+        let third = next_frame(&mut acc, &mut rx_side).unwrap();
+        assert_eq!(third.header.kind, FrameKind::Response);
+        assert!(third.payload.is_empty());
+        assert!(next_frame(&mut acc, &mut rx_side).is_err(), "stream exhausted");
     }
 
     #[test]
     fn corrupted_write_is_rejected_by_reader() {
-        let mut wire = Vec::new();
-        {
-            let mut writer = FrameWriter::new(&mut wire);
-            let frame = Frame::request(3, 9, b"poisoned".to_vec());
-            writer.write_parts_corrupted(&frame.header, &[&frame.payload]).unwrap();
-        }
-        let err = FrameReader::new(&wire[..]).read_frame().unwrap_err();
+        let (tx_side, mut rx_side) = loopback_pair();
+        let writer = ConnWriter::new(tx_side);
+        let frame = Frame::request(3, 9, b"poisoned".to_vec());
+        writer.write_parts_corrupted(&frame.header, &[&frame.payload]).unwrap();
+        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
+        let err = next_frame(&mut acc, &mut rx_side).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "checksum must catch the flip");
-        // Empty payload: the flip lands in the checksum field itself.
-        let mut wire = Vec::new();
-        {
-            let mut writer = FrameWriter::new(&mut wire);
-            let frame = Frame::request(4, 9, Vec::new());
-            writer.write_parts_corrupted(&frame.header, &[&frame.payload]).unwrap();
-        }
-        assert!(FrameReader::new(&wire[..]).read_frame().is_err());
+        // Empty payload: the flip lands in the priority byte, the header's
+        // last, which the header parse refuses just the same.
+        let (tx_side, mut rx_side) = loopback_pair();
+        let writer = ConnWriter::new(tx_side);
+        let frame = Frame::request(4, 9, Vec::new());
+        writer.write_parts_corrupted(&frame.header, &[&frame.payload]).unwrap();
+        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
+        assert!(next_frame(&mut acc, &mut rx_side).is_err());
     }
 
     #[test]
@@ -760,18 +601,21 @@ mod tests {
         let mut bytes = Frame::request(5, 2, b"x".to_vec()).to_bytes();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
-        let err = FrameReader::new(&bytes[..]).read_frame().unwrap_err();
+        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
+        let err = next_frame(&mut acc, &mut &bytes[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         let mut bytes = Frame::request(5, 2, Vec::new()).to_bytes();
         bytes[0] ^= 0xFF;
-        let err = FrameReader::new(&bytes[..]).read_frame().unwrap_err();
+        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
+        let err = next_frame(&mut acc, &mut &bytes[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn reader_eof_on_empty_stream() {
-        let err = FrameReader::new(&b""[..]).read_frame().unwrap_err();
+        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
+        let err = next_frame(&mut acc, &mut &b""[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
@@ -782,12 +626,13 @@ mod tests {
         let plain = Frame::request(2, 7, b"cold".to_vec());
         let mut wire = budgeted.to_bytes();
         wire.extend(plain.to_bytes());
-        let mut reader = FrameReader::new(&wire[..]);
-        let first = reader.read_frame().unwrap();
+        let mut reader = &wire[..];
+        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
+        let first = next_frame(&mut acc, &mut reader).unwrap();
         assert_eq!(first.header.deadline_budget_us, 5_000);
         assert_eq!(first.header.priority, Priority::Critical);
         assert_eq!(first.payload, b"hot");
-        let second = reader.read_frame().unwrap();
+        let second = next_frame(&mut acc, &mut reader).unwrap();
         assert_eq!(second.header.deadline_budget_us, 0);
         assert_eq!(second.payload, b"cold");
     }
@@ -859,12 +704,8 @@ mod accumulator_tests {
 
     #[test]
     fn back_to_back_frames_drain_in_order() {
-        let mut wire = Vec::new();
-        {
-            let mut w = FrameWriter::new(&mut wire);
-            w.write_frame(&Frame::request(1, 5, b"first".to_vec())).unwrap();
-            w.write_frame(&Frame::response(2, 5, Status::Ok, Vec::new())).unwrap();
-        }
+        let mut wire = Frame::request(1, 5, b"first".to_vec()).to_bytes();
+        wire.extend(Frame::response(2, 5, Status::Ok, Vec::new()).to_bytes());
         let mut drip = Drip { data: wire, pos: 0, ready: true };
         let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
         let mut got = Vec::new();
@@ -922,7 +763,7 @@ mod conn_writer_tests {
     use std::net::TcpListener;
     use std::time::Duration;
 
-    fn loopback_pair() -> (TcpStream, TcpStream) {
+    pub(super) fn loopback_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let a = TcpStream::connect(addr).unwrap();
@@ -947,10 +788,11 @@ mod conn_writer_tests {
                 })
             })
             .collect();
-        let mut reader = FrameReader::new(rx_side);
+        let mut rx_side = rx_side;
+        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
         let mut seen = std::collections::HashSet::new();
         for _ in 0..THREADS * PER_THREAD {
-            let frame = reader.read_frame().unwrap();
+            let (frame, _) = acc.poll_frame(&mut rx_side).unwrap().unwrap();
             assert_eq!(frame.payload.len(), 64, "frames must not interleave");
             assert!(seen.insert(frame.header.request_id), "duplicate frame");
         }
@@ -969,7 +811,9 @@ mod conn_writer_tests {
         let writer = ConnWriter::new(tx_side);
         let frame = Frame::request(3, 9, b"poisoned".to_vec());
         writer.write_parts_corrupted(&frame.header, &[&frame.payload]).unwrap();
-        let err = FrameReader::new(rx_side).read_frame().unwrap_err();
+        let mut rx_side = rx_side;
+        let err =
+            FrameAccumulator::new(PooledBuf::unpooled()).poll_frame(&mut rx_side).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 

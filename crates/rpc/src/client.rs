@@ -17,8 +17,8 @@
 //! shim. [`RpcClient::call_opts`] and [`RpcClient::call`] block on a
 //! one-shot slot that the same callback fills.
 //!
-//! Response payloads are [`Bytes`] slices of the pick-up thread's pooled
-//! read buffer — they travel from the socket to the caller without being
+//! Response payloads are [`Bytes`] slices of the pick-up thread's read
+//! buffer — they travel from the socket to the caller without being
 //! copied. Requests are [`Payload`]s, so a fan-out can share one encoded
 //! prefix across many calls by reference count instead of deep copy.
 //!
@@ -28,7 +28,7 @@
 //! without it, a leaf that never responds would leak its table entry and
 //! callback forever.
 
-use crate::buf::{ConnWriter, Payload};
+use crate::buf::{ConnWriter, FrameAccumulator, Payload, PooledBuf};
 use crate::error::RpcError;
 use crate::fault::{ClientFaults, FaultKind};
 use crate::reactor::{CloseReason, ConnDriver, Drive, Reactor};
@@ -533,17 +533,19 @@ fn spawn_response_thread(
         .name("musuite-response".to_string())
         .spawn(move || {
             let counters = OsOpCounters::global();
-            // One pooled read buffer for the life of the connection; each
+            // One read buffer for the life of the connection; each
             // response payload is a zero-copy slice of it.
-            let mut reader = crate::buf::FrameReader::new(stream);
+            let mut stream = stream;
+            let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
             loop {
                 counters.incr(OsOp::EpollPwait);
-                let frame = match reader.read_frame() {
-                    Ok(frame) => frame,
+                match acc.poll_frame(&mut stream) {
+                    Ok(Some((frame, _))) => deliver_response(&inflight, frame),
+                    // Only a read timeout yields `None`, and this socket
+                    // has none.
+                    Ok(None) => {}
                     Err(_) => break,
-                };
-                counters.incr(OsOp::RecvMsg);
-                deliver_response(&inflight, frame);
+                }
             }
             closed.store(true, Ordering::Release);
             counters.incr(OsOp::Close);

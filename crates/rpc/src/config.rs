@@ -163,8 +163,6 @@ pub struct ServerConfig {
     queue_capacity: usize,
     #[serde(default)]
     network: NetworkModel,
-    #[serde(default = "default_sweep_budget")]
-    sweep_budget: usize,
     #[serde(default)]
     idle_timeout: Option<Duration>,
     #[serde(default)]
@@ -182,16 +180,11 @@ impl Default for ServerConfig {
             execution_model: ExecutionModel::default(),
             queue_capacity: 4096,
             network: NetworkModel::default(),
-            sweep_budget: default_sweep_budget(),
             idle_timeout: None,
             admission: AdmissionModel::default(),
             batch: BatchPolicy::default(),
         }
     }
-}
-
-fn default_sweep_budget() -> usize {
-    32
 }
 
 fn default_workers() -> usize {
@@ -259,20 +252,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the per-connection frame budget for one reactor sweep — the
-    /// fairness bound: a chatty connection yields to its shard's peers
-    /// after draining this many complete frames (default 32). Only
-    /// meaningful under [`NetworkModel::SharedPollers`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget` is zero.
-    pub fn sweep_budget(&mut self, budget: usize) -> &mut ServerConfig {
-        assert!(budget > 0, "sweep budget must be positive");
-        self.sweep_budget = budget;
-        self
-    }
-
     /// Enables idle-connection reaping: connections with no traffic for
     /// `timeout` are dropped and counted in `ServerStats::idle_reaped`.
     /// Off by default.
@@ -323,11 +302,6 @@ impl ServerConfig {
     /// Configured network wait model.
     pub fn network_model_value(&self) -> NetworkModel {
         self.network
-    }
-
-    /// Configured per-sweep frame budget.
-    pub fn sweep_budget_value(&self) -> usize {
-        self.sweep_budget
     }
 
     /// Configured idle-connection timeout (`None` = reaping disabled).
@@ -389,10 +363,8 @@ mod tests {
         assert_eq!(c.network_model_value(), NetworkModel::BlockingPerConn);
         assert_eq!(c.idle_timeout_value(), None);
         c.network_model(NetworkModel::SharedPollers { pollers: 3 })
-            .sweep_budget(8)
             .idle_timeout(Duration::from_secs(5));
         assert_eq!(c.network_model_value(), NetworkModel::SharedPollers { pollers: 3 });
-        assert_eq!(c.sweep_budget_value(), 8);
         assert_eq!(c.idle_timeout_value(), Some(Duration::from_secs(5)));
     }
 

@@ -30,12 +30,14 @@
 //! | inline vs dispatch designs (§VII) | [`config::ExecutionModel`] |
 //! | network wait model (§IV/§VII) | [`config::NetworkModel`] |
 //!
-//! The wire path is zero-copy end to end: each connection's reader —
-//! a per-connection poller thread ([`buf::FrameReader`]) or a shared
-//! reactor sweep ([`buf::FrameAccumulator`]) — fills a pooled buffer and
-//! hands out `bytes::Bytes` slices of it; outgoing frames serialize into
-//! a reusable scratch ([`buf::FrameWriter`] / the coalescing
-//! [`buf::ConnWriter`]); and a fan-out encodes shared request state once,
+//! The wire path is one frame format and one path through it, zero-copy
+//! end to end. Every frame carries the same fixed 36-byte header
+//! (`musuite_codec::frame`). Every connection decodes with one
+//! [`buf::FrameAccumulator`], whether a per-connection poller thread, a
+//! client's response thread or a shared reactor sweep reads it; the
+//! accumulator fills a pooled buffer and hands out `bytes::Bytes` slices
+//! of it. Every outgoing frame serializes through the coalescing
+//! [`buf::ConnWriter`], and a fan-out encodes shared request state once,
 //! sharing the allocation across leaves via [`buf::Payload`].
 //!
 //! # Examples
@@ -77,9 +79,7 @@ pub mod service;
 pub mod stats;
 
 pub use admission::{AdmissionControl, AdmissionPermit, LimitChange};
-pub use buf::{
-    BufferPool, ConnWriter, FrameAccumulator, FrameReader, FrameWriter, Payload, PooledBuf,
-};
+pub use buf::{BufferPool, ConnWriter, FrameAccumulator, Payload, PooledBuf};
 pub use client::RpcClient;
 pub use config::{
     AdmissionModel, BatchPolicy, ExecutionModel, NetworkModel, ServerConfig, WaitMode,

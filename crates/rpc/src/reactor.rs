@@ -27,7 +27,7 @@
 //! * [`WaitMode::Adaptive`] — spin-yield for a budget of empty sweeps,
 //!   then fall back to the escalating park.
 //!
-//! Fairness: one connection may drain at most `sweep_budget` frames per
+//! Fairness: one connection may drain at most `SWEEP_BUDGET` (32) frames per
 //! sweep before the thread moves on, so a chatty peer cannot starve its
 //! shard-mates; undrained bytes stay in the kernel buffer for the next
 //! sweep.
@@ -41,7 +41,7 @@
 //! `on_close` runs exactly once (the handoff between a racing `register`
 //! and `shutdown` is model-checked under `musuite_check`).
 
-use crate::buf::{BufferPool, FrameAccumulator};
+use crate::buf::{BufferPool, FrameAccumulator, MAX_IDLE_READ_BUFFERS};
 use crate::config::WaitMode;
 use crate::error::RpcError;
 use musuite_check::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -53,8 +53,8 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Idle buffers retained per reactor for connection churn.
-const MAX_IDLE_READ_BUFFERS: usize = 64;
+/// Max complete frames drained from one connection per sweep.
+const SWEEP_BUDGET: usize = 32;
 /// First timed park after a shard goes idle.
 const PARK_MIN: Duration = Duration::from_micros(20);
 /// Escalation ceiling: 20 µs << 5.
@@ -106,20 +106,13 @@ pub struct ReactorConfig {
     pub pollers: usize,
     /// How a sweep thread waits after an empty sweep.
     pub wait_mode: WaitMode,
-    /// Max complete frames drained from one connection per sweep.
-    pub sweep_budget: usize,
     /// Drop connections with no traffic for this long (`None` = never).
     pub idle_timeout: Option<Duration>,
 }
 
 impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
-        ReactorConfig {
-            pollers: 2,
-            wait_mode: WaitMode::Block,
-            sweep_budget: 32,
-            idle_timeout: None,
-        }
+        ReactorConfig { pollers: 2, wait_mode: WaitMode::Block, idle_timeout: None }
     }
 }
 
@@ -258,11 +251,10 @@ impl Reactor {
     ///
     /// # Panics
     ///
-    /// Panics if `config.pollers` or `config.sweep_budget` is zero, or if
-    /// the OS refuses to spawn a thread.
+    /// Panics if `config.pollers` is zero, or if the OS refuses to spawn a
+    /// thread.
     pub fn start(config: ReactorConfig) -> Reactor {
         assert!(config.pollers > 0, "reactor needs at least one poller");
-        assert!(config.sweep_budget > 0, "sweep budget must be positive");
         let stats = ReactorStats::new();
         let live = Arc::new(AtomicUsize::new(0));
         let pool = BufferPool::new(MAX_IDLE_READ_BUFFERS);
@@ -275,7 +267,6 @@ impl Reactor {
                     stats: stats.clone(),
                     live: live.clone(),
                     wait_mode: config.wait_mode,
-                    sweep_budget: config.sweep_budget,
                     idle_timeout: config.idle_timeout,
                 };
                 // Thread-spawn failure at startup is unrecoverable,
@@ -370,7 +361,6 @@ struct SweepParams {
     stats: ReactorStats,
     live: Arc<AtomicUsize>,
     wait_mode: WaitMode,
-    sweep_budget: usize,
     idle_timeout: Option<Duration>,
 }
 
@@ -395,7 +385,7 @@ fn close_conn(mut conn: Conn, reason: CloseReason, stats: &ReactorStats, live: &
 /// `musuite-analyze` reachability pass.
 #[musuite_marker::nonblocking]
 fn run_sweeper(params: SweepParams) {
-    let SweepParams { ledger, pool, stats, live, wait_mode, sweep_budget, idle_timeout } = params;
+    let SweepParams { ledger, pool, stats, live, wait_mode, idle_timeout } = params;
     let mut conns: Vec<Conn> = Vec::new();
     let mut idle_streak: u32 = 0;
     loop {
@@ -422,10 +412,10 @@ fn run_sweeper(params: SweepParams) {
             let conn = &mut conns[i];
             let mut frames_this_conn = 0usize;
             let mut close = None;
-            // Fairness bound: at most `sweep_budget` frames before moving
+            // Fairness bound: at most `SWEEP_BUDGET` frames before moving
             // to the shard's next connection; surplus bytes wait in the
             // kernel buffer.
-            while frames_this_conn < sweep_budget {
+            while frames_this_conn < SWEEP_BUDGET {
                 match conn.acc.poll_frame(&mut conn.stream) {
                     Ok(Some((frame, rx_start_ns))) => {
                         frames_this_conn += 1;
@@ -667,24 +657,21 @@ mod tests {
 
     #[test]
     fn sweep_budget_bounds_per_conn_work_without_loss() {
-        let reactor = Reactor::start(ReactorConfig {
-            pollers: 1,
-            sweep_budget: 2,
-            ..ReactorConfig::default()
-        });
+        let reactor = Reactor::start(ReactorConfig { pollers: 1, ..ReactorConfig::default() });
         let (mut peer, reactor_side) = loopback_pair();
         let (driver, frames, _closes) = probe();
         reactor.register(reactor_side, Box::new(driver)).unwrap();
+        let count = 20 * SWEEP_BUDGET as u64;
         let mut burst = Vec::new();
-        for id in 0..40u64 {
+        for id in 0..count {
             burst.extend_from_slice(&Frame::request(id, 1, Vec::new()).to_bytes());
         }
         peer.write_all(&burst).unwrap();
-        for id in 0..40u64 {
+        for id in 0..count {
             let frame = frames.recv_timeout(Duration::from_secs(5)).unwrap();
             assert_eq!(frame.header.request_id, id);
         }
-        // The budget forced the 40-frame burst across many sweeps.
+        // The budget forced the burst across many sweeps.
         assert!(reactor.stats().sweeps() >= 20);
     }
 

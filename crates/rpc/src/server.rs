@@ -15,21 +15,21 @@
 //! condition variable when idle, exactly the structure whose futex and
 //! wakeup overheads the paper characterizes.
 //!
-//! Request payloads are zero-copy slices of pooled read buffers in both
-//! modes ([`FrameReader`] per-connection, [`FrameAccumulator`] inside the
-//! reactor), handed through the dispatch queue into the service without a
+//! Both modes decode with the same [`FrameAccumulator`] (over a blocking
+//! socket per connection, over non-blocking ones inside the reactor), so
+//! request payloads are zero-copy slices of pooled read buffers either
+//! way, handed through the dispatch queue into the service without a
 //! memcpy. Responses leave through a per-connection coalescing
-//! [`crate::ConnWriter`]: concurrent completions for one connection batch
+//! [`ConnWriter`]: concurrent completions for one connection batch
 //! into a single socket write.
 //!
 //! Connection bookkeeping is reaped in both modes, and an optional idle
 //! timeout drops connections with no traffic (counted in
-//! [`ServerStats::idle_reaped`]).
-//!
-//! [`FrameAccumulator`]: crate::FrameAccumulator
+//! [`ServerStats::idle_reaped`]). Both modes follow one rule: a
+//! connection holding half a frame is never reaped.
 
 use crate::admission::{AdmissionControl, LimitChange};
-use crate::buf::{BufferPool, ConnWriter, FrameReader};
+use crate::buf::{BufferPool, ConnWriter, FrameAccumulator, PooledBuf, MAX_IDLE_READ_BUFFERS};
 use crate::config::{ExecutionModel, NetworkModel, ServerConfig};
 use crate::error::RpcError;
 use crate::queue::DispatchQueue;
@@ -46,7 +46,6 @@ use musuite_telemetry::breakdown::Stage;
 use musuite_telemetry::clock::Clock;
 use musuite_telemetry::counters::{OsOp, OsOpCounters};
 use std::collections::HashMap;
-use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 
@@ -153,7 +152,6 @@ impl Server {
                 Some(Arc::new(Reactor::start(ReactorConfig {
                     pollers,
                     wait_mode: config.wait_mode_value(),
-                    sweep_budget: config.sweep_budget_value(),
                     idle_timeout: config.idle_timeout_value(),
                 })))
             }
@@ -251,7 +249,7 @@ impl Server {
                         }
                         if let Some(timeout) = idle_timeout {
                             // Baseline idle reaping: the poller's blocking
-                            // first-byte read times out and exits.
+                            // read times out and, between frames, exits.
                             read_half.set_read_timeout(Some(timeout)).ok();
                         }
                         let conn_id = next_conn_id;
@@ -270,7 +268,6 @@ impl Server {
                             shutdown.clone(),
                             table.clone(),
                             read_buffers.acquire(),
-                            idle_timeout.is_some(),
                             admission.clone(),
                         );
                         table.pollers.lock().insert(conn_id, poller);
@@ -386,10 +383,6 @@ impl std::fmt::Debug for Server {
             .finish()
     }
 }
-
-/// Idle read buffers retained across connections; beyond this, buffers
-/// from exiting pollers are freed rather than pooled.
-const MAX_IDLE_READ_BUFFERS: usize = 64;
 
 /// Per-connection protocol logic when the connection is reactor-owned:
 /// the same request pipeline as the blocking poller, minus the thread.
@@ -547,7 +540,7 @@ impl ConnDriver for ServerConnDriver {
 #[allow(clippy::too_many_arguments)]
 fn spawn_poller(
     conn_id: u64,
-    read_half: TcpStream,
+    mut read_half: TcpStream,
     writer: SharedWriter,
     stats: ServerStats,
     queue: DispatchQueue<RequestContext>,
@@ -555,8 +548,7 @@ fn spawn_poller(
     model: ExecutionModel,
     shutdown: Arc<AtomicBool>,
     table: Arc<ConnTable>,
-    read_buf: crate::buf::PooledBuf,
-    reap_on_timeout: bool,
+    read_buf: PooledBuf,
     admission: AdmissionControl,
 ) -> JoinHandle<()> {
     OsOpCounters::global().incr(OsOp::Clone);
@@ -568,45 +560,42 @@ fn spawn_poller(
             // Persistent pooled read buffer for this connection; request
             // payloads are zero-copy slices of it. The buffer returns to
             // the server's pool when this poller exits.
-            let mut reader = FrameReader::with_buffer(read_half, read_buf);
+            let mut acc = FrameAccumulator::new(read_buf);
             loop {
-                // Wait for readiness: the blocking first-byte read is the
+                // Wait for the next frame: the blocking read is the
                 // userspace edge of epoll_pwait + hardirq delivery.
                 counters.incr(OsOp::EpollPwait);
-                let mut first = [0u8; 1];
-                if let Err(e) = reader.get_ref().read_exact(&mut first) {
-                    if reap_on_timeout
-                        && matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-                    {
-                        // Idle past the configured timeout with no frame
-                        // in flight: reap the connection.
-                        stats.record_idle_reaped();
-                        let _ = reader.get_ref().shutdown(Shutdown::Both);
+                match acc.poll_frame(&mut read_half) {
+                    Ok(Some((frame, rx_start))) => {
+                        // From the frame's first byte to here is Net_rx.
+                        let received = clock.now_ns();
+                        stats.breakdown().record(Stage::NetRx, clock.delta(rx_start, received));
+                        dispatch_frame(
+                            frame, received, &writer, &stats, &queue, &service, model, &admission,
+                        );
                     }
-                    break;
-                }
-                // Data has arrived; everything from here to a parsed frame
-                // is the Net_rx stage.
-                let rx_start = clock.now_ns();
-                counters.incr(OsOp::RecvMsg);
-                let frame = match reader.read_frame_after_first_byte(first[0]) {
-                    Ok(frame) => frame,
+                    // The idle timeout elapsed (only a read timeout yields
+                    // `None` here). As in the reactor, a peer holding half
+                    // a frame is slow, not idle: keep waiting for the rest.
+                    Ok(None) => {
+                        if !acc.mid_frame() {
+                            stats.record_idle_reaped();
+                            let _ = read_half.shutdown(Shutdown::Both);
+                            break;
+                        }
+                    }
                     Err(_) => {
-                        // A malformed or checksum-rejected frame poisons
-                        // the stream. Close both halves explicitly (the
-                        // conn table holds another handle, so dropping
-                        // ours is not enough) so the peer observes the
-                        // failure immediately instead of timing out on a
-                        // silent connection.
-                        let _ = reader.get_ref().shutdown(Shutdown::Both);
+                        // EOF, or a malformed or checksum-rejected frame
+                        // that poisons the stream. As in the reactor,
+                        // close both halves explicitly (the conn table
+                        // holds another handle, so dropping ours is not
+                        // enough) so the peer observes the failure
+                        // immediately instead of timing out on a silent
+                        // connection.
+                        let _ = read_half.shutdown(Shutdown::Both);
                         break;
                     }
-                };
-                let received = clock.now_ns();
-                stats.breakdown().record(Stage::NetRx, clock.delta(rx_start, received));
-                dispatch_frame(
-                    frame, received, &writer, &stats, &queue, &service, model, &admission,
-                );
+                }
                 if shutdown.load(Ordering::Acquire) {
                     break;
                 }
@@ -813,11 +802,18 @@ mod tests {
     }
 
     fn idle_reap_case(network: NetworkModel) {
+        use std::io::Write;
         let mut config = ServerConfig::default();
         config.network_model(network).idle_timeout(Duration::from_millis(75));
         let server = Server::spawn(config, Arc::new(Echo)).unwrap();
         let idle = RpcClient::connect(server.local_addr()).unwrap();
         idle.call(1, b"warm".to_vec()).unwrap();
+        // A second peer sends half a frame, then stalls past the timeout:
+        // it is slow, not idle, and must not be reaped.
+        let stalled_frame = Frame::request(9, 1, b"half then the rest".to_vec()).to_bytes();
+        let (head, tail) = stalled_frame.split_at(stalled_frame.len() / 2);
+        let mut stalled = TcpStream::connect(server.local_addr()).unwrap();
+        stalled.write_all(head).unwrap();
         // No traffic for several timeouts: the server must drop the conn.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while server.stats().idle_reaped() == 0 {
@@ -827,12 +823,21 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(10));
         }
+        std::thread::sleep(Duration::from_millis(4 * 75));
         assert_eq!(server.stats().idle_reaped(), 1);
         // The reaped client's next call fails...
         assert!(idle.call(1, b"dead".to_vec()).is_err());
         // ...but fresh connections are unaffected.
         let fresh = RpcClient::connect(server.local_addr()).unwrap();
         assert_eq!(fresh.call(1, b"alive".to_vec()).unwrap(), b"alive");
+        // The stalled peer finishes its frame and gets the echo.
+        stalled.write_all(tail).unwrap();
+        stalled.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
+        let reply = acc.poll_frame(&mut stalled).unwrap();
+        let (reply, _) = reply.unwrap_or_else(|| panic!("no echo under {network:?}"));
+        assert_eq!(reply.header.request_id, 9);
+        assert_eq!(reply.payload, b"half then the rest");
     }
 
     #[test]

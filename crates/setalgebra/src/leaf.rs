@@ -46,11 +46,7 @@ impl LeafHandler for SetAlgebraLeaf {
 
     fn handle_batch(&self, requests: Vec<TermQuery>) -> Vec<Result<PostingList, ServiceError>> {
         let queries: Vec<Vec<TermId>> = requests.into_iter().map(|r| r.terms).collect();
-        self.index
-            .search_batch(&queries)
-            .into_iter()
-            .map(|docs| Ok(PostingList { docs }))
-            .collect()
+        self.index.search_batch(&queries).into_iter().map(|docs| Ok(PostingList { docs })).collect()
     }
 }
 

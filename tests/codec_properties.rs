@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 use musuite::codec::{from_bytes, to_bytes, Decode, Encode, Frame, Status};
-use musuite::rpc::FrameReader;
+use musuite::rpc::{FrameAccumulator, PooledBuf};
 use proptest::prelude::*;
 
 fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: &T) {
@@ -106,16 +106,18 @@ proptest! {
     fn reader_payloads_survive_buffer_reuse(payloads in proptest::collection::vec(
         proptest::collection::vec(any::<u8>(), 1..128), 2..6)
     ) {
-        // A FrameReader reuses one pooled buffer across frames. Payloads
-        // handed out for earlier frames must stay intact while later
-        // frames are read into the pool.
+        // A FrameAccumulator reuses one pooled buffer across frames.
+        // Payloads handed out for earlier frames must stay intact while
+        // later frames are read into the pool.
         let mut wire = Vec::new();
         for (i, payload) in payloads.iter().enumerate() {
             wire.extend(Frame::request(i as u64, 1, payload.clone()).to_bytes());
         }
-        let mut reader = FrameReader::new(&wire[..]);
-        let held: Vec<Bytes> =
-            (0..payloads.len()).map(|_| reader.read_frame().unwrap().payload).collect();
+        let mut reader = &wire[..];
+        let mut acc = FrameAccumulator::new(PooledBuf::unpooled());
+        let held: Vec<Bytes> = (0..payloads.len())
+            .map(|_| acc.poll_frame(&mut reader).unwrap().unwrap().0.payload)
+            .collect();
         for (held_payload, original) in held.iter().zip(&payloads) {
             prop_assert_eq!(&held_payload[..], &original[..]);
         }
