@@ -18,6 +18,8 @@ pub enum Rule {
     Nonblocking,
     /// Deadline parameter not threaded into nested calls.
     Deadline,
+    /// `unsafe` code outside the allow-listed files.
+    UnsafeConfinement,
 }
 
 impl Rule {
@@ -30,6 +32,7 @@ impl Rule {
             Rule::LockOrder => "lock-order",
             Rule::Nonblocking => "nonblocking",
             Rule::Deadline => "deadline",
+            Rule::UnsafeConfinement => "unsafe-confinement",
         }
     }
 
@@ -45,13 +48,14 @@ impl Rule {
     }
 
     /// Every rule, for reporting.
-    pub const ALL: [Rule; 6] = [
+    pub const ALL: [Rule; 7] = [
         Rule::RawSync,
         Rule::Unwrap,
         Rule::RawThread,
         Rule::LockOrder,
         Rule::Nonblocking,
         Rule::Deadline,
+        Rule::UnsafeConfinement,
     ];
 }
 

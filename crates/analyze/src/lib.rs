@@ -37,7 +37,17 @@ const UNWRAP_CRATES: &[&str] = &["musuite-rpc", "musuite-core"];
 /// everything the deterministic scheduler must be able to interpose).
 const THREAD_CRATES: &[&str] = &["musuite-rpc"];
 
-/// Loads every workspace crate's `src/**/*.rs` under `root/crates`.
+/// The only files that may hold `unsafe`: the reactor's hand-declared
+/// `epoll` bindings and the counting allocator of the allocation probe.
+const UNSAFE_ALLOWED: &[&str] = &["crates/rpc/src/sys.rs", "crates/bench/examples/alloc_probe.rs"];
+
+/// Target directories read besides `src/` — only `unsafe-confinement`
+/// looks at them. Fixture trees (deliberate violations) are skipped.
+const OTHER_TARGETS: &[&str] = &["tests", "examples", "benches"];
+
+/// Loads every workspace crate's `src/**/*.rs` under `root/crates`, plus
+/// its `tests`, `examples` and `benches` (and the workspace-level
+/// `examples/` and `tests/`, which belong to the `musuite` crate).
 ///
 /// Crate names are read from each `Cargo.toml`'s `[package] name` key;
 /// vendored dependencies and non-crate directories are ignored.
@@ -54,9 +64,17 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
         let manifest = dir.join("Cargo.toml");
         let Ok(toml) = std::fs::read_to_string(&manifest) else { continue };
         let Some(name) = package_name(&toml) else { continue };
-        let src = dir.join("src");
-        if src.is_dir() {
-            collect_rs(&src, root, &name, &mut files)?;
+        for target in std::iter::once("src").chain(OTHER_TARGETS.iter().copied()) {
+            let target = dir.join(target);
+            if target.is_dir() {
+                collect_rs(&target, root, &name, &mut files)?;
+            }
+        }
+    }
+    for target in ["examples", "tests"] {
+        let target = root.join(target);
+        if target.is_dir() {
+            collect_rs(&target, root, "musuite", &mut files)?;
         }
     }
     Ok(files)
@@ -82,6 +100,9 @@ fn collect_rs(
     entries.sort();
     for path in entries {
         if path.is_dir() {
+            if path.file_name().map(|n| n == "fixtures").unwrap_or(false) {
+                continue;
+            }
             collect_rs(&path, rel_root, crate_name, out)?;
         } else if path.extension().map(|e| e == "rs").unwrap_or(false) {
             let rel =
@@ -113,15 +134,17 @@ fn package_name(toml: &str) -> Option<String> {
     None
 }
 
-/// Runs every pass with the workspace scoping rules.
+/// Runs every pass with the workspace scoping rules: `unsafe-confinement`
+/// over every loaded file, the others over library sources only.
 pub fn analyze_workspace(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     out.extend(passes::raw_sync::run(&filtered(files, |c| !INTERNAL_CRATES.contains(&c))));
     out.extend(passes::panic_hygiene::run(&filtered(files, |c| UNWRAP_CRATES.contains(&c))));
     out.extend(passes::raw_thread::run(&filtered(files, |c| THREAD_CRATES.contains(&c))));
     out.extend(passes::lock_order::run(&filtered(files, |c| !INTERNAL_CRATES.contains(&c))));
-    out.extend(passes::nonblocking::run(files, INTERNAL_CRATES));
+    out.extend(passes::nonblocking::run(&filtered(files, |_| true), INTERNAL_CRATES));
     out.extend(passes::deadline::run(&filtered(files, |c| !INTERNAL_CRATES.contains(&c))));
+    out.extend(passes::unsafe_confinement::run(files, UNSAFE_ALLOWED));
     sort_dedupe(&mut out);
     out
 }
@@ -136,17 +159,19 @@ pub fn analyze_all_rules(files: &[SourceFile]) -> Vec<Finding> {
     out.extend(passes::lock_order::run(files));
     out.extend(passes::nonblocking::run(files, &[]));
     out.extend(passes::deadline::run(files));
+    out.extend(passes::unsafe_confinement::run(files, UNSAFE_ALLOWED));
     sort_dedupe(&mut out);
     out
 }
 
-/// Clones the files whose crate passes `pred` (SourceFile is not cheap
-/// to clone, so this re-parses nothing but does copy tokens; workspace
-/// size keeps this well under a millisecond-scale concern).
+/// Clones the library sources (`<crate>/src/**`) whose crate passes
+/// `pred` (SourceFile is not cheap to clone, so this re-parses nothing
+/// but does copy tokens; workspace size keeps this well under a
+/// millisecond-scale concern).
 fn filtered(files: &[SourceFile], pred: impl Fn(&str) -> bool) -> Vec<SourceFile> {
     files
         .iter()
-        .filter(|f| pred(&f.crate_name))
+        .filter(|f| f.rel.contains("/src/") && pred(&f.crate_name))
         .map(|f| SourceFile {
             rel: f.rel.clone(),
             crate_name: f.crate_name.clone(),

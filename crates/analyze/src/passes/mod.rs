@@ -7,3 +7,4 @@ pub mod nonblocking;
 pub mod panic_hygiene;
 pub mod raw_sync;
 pub mod raw_thread;
+pub mod unsafe_confinement;

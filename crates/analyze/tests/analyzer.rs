@@ -122,6 +122,26 @@ fn deadline_prop_fixture() {
 }
 
 #[test]
+fn unsafe_confinement_fixture() {
+    let got = fixture("unsafe_confinement");
+    assert_findings(
+        &got,
+        &[
+            ("unsafe-confinement", 4),  // #![allow(unsafe_code)]
+            ("unsafe-confinement", 8),  // unsafe impl
+            ("unsafe-confinement", 11), // unsafe block
+            ("unsafe-confinement", 14), // allow(.., unsafe_code) in a list
+            ("unsafe-confinement", 15), // unsafe fn
+            ("unsafe-confinement", 30), // unsafe block in test code
+        ],
+    );
+    // The comment, identifier and string at lines 19-22, the plain
+    // `allow(dead_code)` at 17, and the allow-listed
+    // crates/rpc/src/sys.rs must not appear.
+    assert!(got.iter().all(|f| f.file == "lib.rs"), "allow-listed path flagged: {got:#?}");
+}
+
+#[test]
 fn real_workspace_is_clean() {
     let root: PathBuf = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let files = load_workspace(&root).expect("workspace loads");
@@ -130,6 +150,12 @@ fn real_workspace_is_clean() {
     for name in ["musuite-rpc", "musuite-core", "musuite-router", "musuite-hdsearch"] {
         assert!(files.iter().any(|f| f.crate_name == name), "missing crate {name}");
     }
+    // `unsafe-confinement` reads tests, examples and benches too; the
+    // allow-listed example must be among them.
+    assert!(
+        files.iter().any(|f| f.rel == "crates/bench/examples/alloc_probe.rs"),
+        "non-src targets are loaded"
+    );
     let findings = analyze_workspace(&files);
     assert!(findings.is_empty(), "workspace findings: {findings:#?}");
 }

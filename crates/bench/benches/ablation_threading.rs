@@ -91,9 +91,9 @@ fn main() {
 
     // Network-edge ablation: who owns the sockets. A thread per connection
     // (the baseline) against a fixed shared-poller pool of 1, 2 and 4
-    // sweepers, crossed with the wait mode the network edge uses between
-    // empty sweeps. Execution model is held at Dispatch so the only moving
-    // part is the network layer.
+    // sweepers, crossed with the wait mode the network edge uses for
+    // socket readiness. Execution model is held at Dispatch so the only
+    // moving part is the network layer.
     println!("\nNetwork edge: thread-per-connection vs shared poller pool\n");
     let networks = [
         NetworkModel::BlockingPerConn,

@@ -62,11 +62,8 @@ fn bench_payload_sweep(c: &mut Criterion) {
 /// At low load (one in-flight request) this measures the shared-reactor
 /// sweep overhead head-on; the acceptance bar for the reactor is staying
 /// within 1.5x of the per-connection baseline here. Both arms run
-/// WaitMode::Adaptive so only the network axis varies: under pure Block
-/// the reactor's between-sweep park (its epoll stand-in) dominates a
-/// sequential echo — the paper's low-load blocking penalty relocated to
-/// the network edge, quantified by the ablation_threading network table
-/// rather than here.
+/// WaitMode::Adaptive so only the network axis varies; the
+/// ablation_threading network table crosses the edge with Block and Poll.
 fn bench_network_model(c: &mut Criterion) {
     let mut group = c.benchmark_group("rpc_network_model");
     let models = [

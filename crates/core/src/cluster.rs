@@ -65,8 +65,12 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets how many mid-tier→leaf connections to open per leaf (each
-    /// brings its own response pick-up thread). Default 1.
+    /// Sets how many mid-tier→leaf connections to open per leaf (default
+    /// one). Under the mid-tier's `BlockingPerConn` network model each
+    /// brings its own response pick-up thread; under `SharedPollers` they
+    /// all register on the one leaf-side reactor and add no pick-up
+    /// thread. Either way, each connection's first call with a deadline
+    /// starts that client's deadline reaper thread.
     ///
     /// # Panics
     ///

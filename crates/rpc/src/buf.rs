@@ -233,9 +233,9 @@ impl From<&'static [u8]> for Payload {
 /// a [`Bytes`] without a copy.
 ///
 /// Each data-returning `read` ticks the global `recvmsg` counter; reads
-/// that return `WouldBlock` are *not* counted — they are the caller's
-/// stand-in for an epoll readiness check, accounted under its
-/// `epoll_pwait`-class wait instead.
+/// that return `WouldBlock` are *not* counted — on a reactor socket that
+/// read only ends the turn of a socket `epoll_wait` reported, and the
+/// wait is accounted as the `epoll_pwait` itself.
 #[derive(Debug)]
 pub struct FrameAccumulator {
     header: [u8; HEADER_LEN],

@@ -9,21 +9,25 @@
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
-/// How idle threads wait for new work.
+/// How idle threads wait for new work: dispatch-queue workers for a
+/// request, reactor sweep threads for a readable socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum WaitMode {
-    /// Park on a condition variable (futex), yielding the CPU — μSuite's
-    /// default design, which conserves CPU but pays wakeup latency.
+    /// Sleep until work arrives, yielding the CPU: workers park on a
+    /// condition variable (futex), sweep threads block in `epoll_wait` —
+    /// μSuite's default design, which conserves CPU but pays wakeup
+    /// latency.
     #[default]
     Block,
-    /// Spin with `yield_now`, trading CPU burn for lower hand-off latency.
+    /// Spin with `yield_now` (sweep threads between zero-timeout
+    /// `epoll_wait`s), trading CPU burn for lower hand-off latency.
     Poll,
-    /// Spin briefly, then park — the dynamic block/poll trade-off the
+    /// Spin briefly, then sleep — the dynamic block/poll trade-off the
     /// paper's §VII proposes ("future microservice monitoring systems
     /// could dynamically switch between block- and poll-based designs").
-    /// At high load, work arrives during the spin window and the futex
-    /// wakeup is skipped entirely; at low load, threads park and conserve
-    /// CPU as in [`WaitMode::Block`].
+    /// At high load, work arrives during the spin window and the wakeup
+    /// is skipped entirely; at low load, threads sleep and conserve CPU
+    /// as in [`WaitMode::Block`].
     Adaptive,
 }
 

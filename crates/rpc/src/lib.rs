@@ -77,6 +77,7 @@ pub mod resilient;
 pub mod server;
 pub mod service;
 pub mod stats;
+mod sys;
 
 pub use admission::{AdmissionControl, AdmissionPermit, LimitChange};
 pub use buf::{BufferPool, ConnWriter, FrameAccumulator, Payload, PooledBuf};

@@ -1,66 +1,74 @@
-//! A std-only readiness reactor: the paper's fixed network-poller pool.
+//! An epoll-driven readiness reactor: the paper's fixed network-poller pool.
 //!
 //! The mid-tier of Fig. 8 drives *all* of its connections from a small,
-//! fixed set of network poller threads that feed the dispatch queue — the
-//! thread count at the network edge is an architectural constant, not a
-//! function of how many clients are connected. This module reproduces
-//! that design without `epoll` bindings (no `unsafe`, no new
-//! dependencies): every registered socket is switched to non-blocking
-//! mode and partitioned across `pollers` *sweep threads*. Each sweep
-//! thread loops over its shard, asking each connection's
-//! [`FrameAccumulator`] to absorb whatever bytes the kernel has buffered;
-//! complete frames are handed to the connection's [`ConnDriver`] (the
-//! server's dispatch path or the client's in-flight completion path).
+//! fixed set of network poller threads that block in `epoll_pwait` and
+//! feed the dispatch queue — the thread count at the network edge is an
+//! architectural constant, not a function of how many clients are
+//! connected. This module reproduces that design: every registered socket
+//! is switched to non-blocking mode and partitioned across `pollers`
+//! *sweep threads*, each owning one epoll set (the hand-declared bindings
+//! in `sys`, the workspace's only `unsafe`). A sweep thread waits in
+//! `epoll_wait`, then services only the connections epoll reported, asking
+//! each one's [`FrameAccumulator`] to absorb the bytes the kernel has
+//! buffered; complete frames are handed to the connection's
+//! [`ConnDriver`] (the server's dispatch path or the client's in-flight
+//! completion path).
 //!
-//! Between *empty* sweeps — no shard connection had a complete frame —
-//! the thread waits according to [`WaitMode`], extending the paper's
+//! How the thread waits follows [`WaitMode`], extending the paper's
 //! block- vs poll-based trade-off to the network edge:
 //!
-//! * [`WaitMode::Poll`] — `yield_now` and sweep again: lowest latency,
-//!   one core burned per poller.
-//! * [`WaitMode::Block`] — park on the shard's registration condvar with
-//!   an escalating timeout (20 µs doubling to 640 µs). A condvar cannot
-//!   observe socket readiness, so the timed park is this reactor's
-//!   stand-in for `epoll_pwait`: freshly idle shards wake quickly (the
-//!   paper's wakeup-latency cost, kept small), long-idle shards converge
-//!   to a few wakeups per millisecond (the CPU-conservation benefit).
-//! * [`WaitMode::Adaptive`] — spin-yield for a budget of empty sweeps,
-//!   then fall back to the escalating park.
+//! * [`WaitMode::Block`] — `epoll_wait` until a socket is readable, or
+//!   until the earliest idle deadline when `idle_timeout` is set: the
+//!   paper's design, paying one wakeup per burst and no CPU while idle.
+//! * [`WaitMode::Poll`] — `epoll_wait` with a zero timeout, then
+//!   `yield_now` if nothing was ready: lowest latency, one core burned per
+//!   poller.
+//! * [`WaitMode::Adaptive`] — polls through `ADAPTIVE_SPIN_SWEEPS` (64)
+//!   empty waits, then blocks like `Block`.
 //!
-//! Fairness: one connection may drain at most `SWEEP_BUDGET` (32) frames per
-//! sweep before the thread moves on, so a chatty peer cannot starve its
-//! shard-mates; undrained bytes stay in the kernel buffer for the next
-//! sweep.
+//! Interest is level-triggered (`EPOLLIN | EPOLLRDHUP`, keyed by the
+//! connection's slab index). Fairness: one connection may drain at most
+//! `SWEEP_BUDGET` (32) frames per wakeup before the thread moves on, so a
+//! chatty peer cannot starve its shard-mates; the accumulator never reads
+//! past the frame it is assembling, so undrained bytes stay in the kernel
+//! buffer and epoll reports the socket again on the next wait.
 //!
 //! Registration is lock-free for the sweeper in the steady state: new
-//! connections land in the shard's [`Ledger`] and are adopted at the top
-//! of the next sweep, after which the connection is owned *exclusively*
-//! by its sweep thread — read buffers are never shared. Deregistration
-//! happens either by the driver (`Drive::Close`), by I/O error or EOF, by
-//! idle timeout, or by reactor shutdown; in every case the driver's
-//! `on_close` runs exactly once (the handoff between a racing `register`
-//! and `shutdown` is model-checked under `musuite_check`).
+//! connections land in the shard's [`Ledger`], and a byte written to the
+//! shard's wake socket (a non-blocking `UnixStream` pair whose read end
+//! sits in the epoll set) tells the sweeper to adopt them. After adoption
+//! the connection is owned *exclusively* by its sweep thread — read
+//! buffers are never shared. Deregistration happens either by the driver
+//! (`Drive::Close`), by I/O error or EOF, by idle timeout, or by reactor
+//! shutdown; in every case the driver's `on_close` runs exactly once (the
+//! handoff between a racing `register` and `shutdown` is model-checked
+//! under `musuite_check`).
 
 use crate::buf::{BufferPool, FrameAccumulator, MAX_IDLE_READ_BUFFERS};
 use crate::config::WaitMode;
 use crate::error::RpcError;
+use crate::sys::{Epoll, Event};
 use musuite_check::atomic::{AtomicBool, AtomicUsize, Ordering};
-use musuite_check::sync::{Condvar, Mutex};
+use musuite_check::sync::Mutex;
 use musuite_check::thread::{Builder, JoinHandle};
 use musuite_codec::Frame;
 use musuite_telemetry::netpoll::ReactorStats;
+use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Max complete frames drained from one connection per sweep.
+/// Max complete frames drained from one connection per wakeup.
 const SWEEP_BUDGET: usize = 32;
-/// First timed park after a shard goes idle.
-const PARK_MIN: Duration = Duration::from_micros(20);
-/// Escalation ceiling: 20 µs << 5.
-const PARK_MAX_SHIFT: u32 = 5;
-/// Empty sweeps an `Adaptive` poller spins through before parking.
+/// Empty zero-timeout waits an `Adaptive` poller spins through before
+/// it blocks.
 const ADAPTIVE_SPIN_SWEEPS: u32 = 64;
+/// Readiness reports taken per `epoll_wait`.
+const EVENT_BATCH: usize = 64;
+/// Epoll token of the shard's wake socket; connections use their slab
+/// index.
+const WAKE_TOKEN: u64 = u64::MAX;
 
 /// What a [`ConnDriver`] tells the reactor after each frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +112,7 @@ pub struct ReactorConfig {
     /// Number of sweep threads; registered sockets are partitioned
     /// round-robin across them.
     pub pollers: usize,
-    /// How a sweep thread waits after an empty sweep.
+    /// How a sweep thread waits for readiness.
     pub wait_mode: WaitMode,
     /// Drop connections with no traffic for this long (`None` = never).
     pub idle_timeout: Option<Duration>,
@@ -129,7 +137,7 @@ impl std::fmt::Debug for Registration {
 }
 
 /// The registration mailbox between `register` callers and one sweep
-/// thread, doubling as the shard's park point.
+/// thread.
 ///
 /// Exactly-once handoff invariant (model-checked): an item accepted by
 /// [`Ledger::submit`] is collected by *either* the sweeper's
@@ -140,7 +148,6 @@ impl std::fmt::Debug for Registration {
 #[derive(Debug)]
 pub(crate) struct Ledger<T> {
     state: Mutex<LedgerState<T>>,
-    wakeup: Condvar,
 }
 
 #[derive(Debug)]
@@ -151,10 +158,7 @@ struct LedgerState<T> {
 
 impl<T> Ledger<T> {
     pub(crate) fn new() -> Ledger<T> {
-        Ledger {
-            state: Mutex::new(LedgerState { pending: Vec::new(), shutdown: false }),
-            wakeup: Condvar::new(),
-        }
+        Ledger { state: Mutex::new(LedgerState { pending: Vec::new(), shutdown: false }) }
     }
 
     /// Hands `item` to the sweep thread; returns it if the ledger already
@@ -165,7 +169,6 @@ impl<T> Ledger<T> {
             return Err(item);
         }
         st.pending.push(item);
-        self.wakeup.notify_all();
         Ok(())
     }
 
@@ -183,23 +186,24 @@ impl<T> Ledger<T> {
     pub(crate) fn begin_shutdown(&self) -> Vec<T> {
         let mut st = self.state.lock();
         st.shutdown = true;
-        let orphans = std::mem::take(&mut st.pending);
-        self.wakeup.notify_all();
-        orphans
-    }
-
-    /// Parks the sweep thread until a registration, shutdown, or timeout.
-    pub(crate) fn park(&self, timeout: Duration) {
-        let mut st = self.state.lock();
-        if st.pending.is_empty() && !st.shutdown {
-            self.wakeup.wait_for(&mut st, timeout);
-        }
+        std::mem::take(&mut st.pending)
     }
 }
 
 struct Shard {
     ledger: Arc<Ledger<Registration>>,
+    /// Write end of the wake socket: one byte makes the sweeper look at
+    /// its ledger.
+    waker: UnixStream,
     sweeper: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl Shard {
+    /// Wakes the sweeper. A full socket already holds a pending wake, so
+    /// a failed write loses nothing.
+    fn wake(&self) {
+        let _ = (&self.waker).write(&[1]);
+    }
 }
 
 /// A fixed pool of sweep threads multiplexing registered sockets — the
@@ -251,8 +255,8 @@ impl Reactor {
     ///
     /// # Panics
     ///
-    /// Panics if `config.pollers` is zero, or if the OS refuses to spawn a
-    /// thread.
+    /// Panics if `config.pollers` is zero, or if the OS refuses a thread,
+    /// an epoll set or a wake socket.
     pub fn start(config: ReactorConfig) -> Reactor {
         assert!(config.pollers > 0, "reactor needs at least one poller");
         let stats = ReactorStats::new();
@@ -260,22 +264,27 @@ impl Reactor {
         let pool = BufferPool::new(MAX_IDLE_READ_BUFFERS);
         let shards = (0..config.pollers)
             .map(|i| {
+                // Resource exhaustion at startup is unrecoverable,
+                // matching the server's worker pool.
+                let (epoll, waker, wake_rx) = open_shard_io().expect("reactor epoll set"); // lint: allow(expect)
                 let ledger = Arc::new(Ledger::new());
-                let params = SweepParams {
+                let sweeper = Sweeper {
+                    epoll,
+                    wake_rx,
                     ledger: ledger.clone(),
+                    conns: Vec::new(),
+                    free: Vec::new(),
                     pool: pool.clone(),
                     stats: stats.clone(),
                     live: live.clone(),
                     wait_mode: config.wait_mode,
                     idle_timeout: config.idle_timeout,
                 };
-                // Thread-spawn failure at startup is unrecoverable,
-                // matching the server's worker pool.
                 let handle = Builder::new()
                     .name(format!("musuite-reactor-{i}"))
-                    .spawn(move || run_sweeper(params))
+                    .spawn(move || run_sweeper(sweeper))
                     .expect("spawn reactor sweeper"); // lint: allow(expect)
-                Shard { ledger, sweeper: Mutex::new(Some(handle)) }
+                Shard { ledger, waker, sweeper: Mutex::new(Some(handle)) }
             })
             .collect();
         Reactor { shards, next: AtomicUsize::new(0), stats, live, shutdown: AtomicBool::new(false) }
@@ -301,7 +310,10 @@ impl Reactor {
         }
         let shard = &self.shards[self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len()];
         match shard.ledger.submit(Registration { stream, driver }) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                shard.wake();
+                Ok(())
+            }
             Err(mut reg) => {
                 reg.driver.on_close(CloseReason::Shutdown);
                 Err(RpcError::ShuttingDown)
@@ -339,6 +351,7 @@ impl Reactor {
                 let _ = reg.stream.shutdown(Shutdown::Both);
                 reg.driver.on_close(CloseReason::Shutdown);
             }
+            shard.wake();
         }
         for shard in &self.shards {
             let handle = shard.sweeper.lock().take();
@@ -355,13 +368,15 @@ impl Drop for Reactor {
     }
 }
 
-struct SweepParams {
-    ledger: Arc<Ledger<Registration>>,
-    pool: BufferPool,
-    stats: ReactorStats,
-    live: Arc<AtomicUsize>,
-    wait_mode: WaitMode,
-    idle_timeout: Option<Duration>,
+/// A shard's epoll set, with the read end of its wake socket already
+/// watched, plus that socket's write end and read end.
+fn open_shard_io() -> std::io::Result<(Epoll, UnixStream, UnixStream)> {
+    let (waker, wake_rx) = UnixStream::pair()?;
+    waker.set_nonblocking(true)?;
+    wake_rx.set_nonblocking(true)?;
+    let epoll = Epoll::new()?;
+    epoll.add(&wake_rx, WAKE_TOKEN)?;
+    Ok((epoll, waker, wake_rx))
 }
 
 /// A connection owned by one sweep thread.
@@ -372,119 +387,173 @@ struct Conn {
     last_activity: Instant,
 }
 
-fn close_conn(mut conn: Conn, reason: CloseReason, stats: &ReactorStats, live: &AtomicUsize) {
-    let _ = conn.stream.shutdown(Shutdown::Both);
-    conn.driver.on_close(reason);
-    stats.record_closed();
-    live.fetch_sub(1, Ordering::AcqRel);
+impl Conn {
+    /// Drains up to `SWEEP_BUDGET` frames; returns how many, and why the
+    /// connection must close, if it must.
+    fn drain(&mut self) -> (usize, Option<CloseReason>) {
+        for taken in 0..SWEEP_BUDGET {
+            match self.acc.poll_frame(&mut self.stream) {
+                Ok(Some((frame, rx_start_ns))) => {
+                    if self.driver.on_frame(frame, rx_start_ns) == Drive::Close {
+                        return (taken + 1, Some(CloseReason::Disconnect));
+                    }
+                }
+                Ok(None) => return (taken, None),
+                Err(_) => return (taken, Some(CloseReason::Disconnect)),
+            }
+        }
+        (SWEEP_BUDGET, None)
+    }
+}
+
+/// Everything one sweep thread owns: its epoll set, the read end of its
+/// wake socket, its registration ledger and its connections.
+struct Sweeper {
+    epoll: Epoll,
+    wake_rx: UnixStream,
+    ledger: Arc<Ledger<Registration>>,
+    /// Slab of owned connections; a slot's index is its epoll token.
+    conns: Vec<Option<Conn>>,
+    free: Vec<usize>,
+    pool: BufferPool,
+    stats: ReactorStats,
+    live: Arc<AtomicUsize>,
+    wait_mode: WaitMode,
+    idle_timeout: Option<Duration>,
+}
+
+impl Sweeper {
+    fn adopt(&mut self, reg: Registration) {
+        self.stats.record_registered();
+        self.live.fetch_add(1, Ordering::AcqRel);
+        let conn = Conn {
+            stream: reg.stream,
+            acc: FrameAccumulator::new(self.pool.acquire()),
+            driver: reg.driver,
+            last_activity: Instant::now(),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.conns.push(None);
+                self.conns.len() - 1
+            }
+        };
+        let added = self.epoll.add(&conn.stream, slot as u64);
+        self.conns[slot] = Some(conn);
+        if added.is_err() {
+            self.close(slot, CloseReason::Disconnect);
+        }
+    }
+
+    /// Deregisters and closes the connection in `slot`, if any. A slot
+    /// freed while a wait's reports are being handled is reused only by a
+    /// later adoption, so a stale report finds it empty.
+    fn close(&mut self, slot: usize, reason: CloseReason) {
+        let Some(mut conn) = self.conns[slot].take() else { return };
+        let _ = self.epoll.del(&conn.stream);
+        let _ = conn.stream.shutdown(Shutdown::Both);
+        conn.driver.on_close(reason);
+        self.stats.record_closed();
+        self.live.fetch_sub(1, Ordering::AcqRel);
+        self.free.push(slot);
+    }
+
+    /// Services one readiness report.
+    fn service(&mut self, slot: usize, now: Instant) -> usize {
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else { return 0 };
+        let (frames, close) = conn.drain();
+        if frames > 0 {
+            conn.last_activity = now;
+        }
+        if let Some(reason) = close {
+            self.close(slot, reason);
+        }
+        frames
+    }
+
+    /// Closes connections idle for `timeout` and returns the earliest
+    /// idle deadline left. A connection mid-frame is never reaped (a
+    /// slow-trickling peer is active, just glacially so) and sets no
+    /// deadline: it can only leave that state by completing a frame,
+    /// which renews its activity.
+    fn reap_idle(&mut self, timeout: Duration) -> Option<Instant> {
+        let now = Instant::now();
+        let mut next: Option<Instant> = None;
+        for slot in 0..self.conns.len() {
+            let Some(conn) = &self.conns[slot] else { continue };
+            if conn.acc.mid_frame() {
+                continue;
+            }
+            let deadline = conn.last_activity + timeout;
+            if deadline <= now {
+                self.close(slot, CloseReason::Idle);
+            } else {
+                next = Some(next.map_or(deadline, |n| n.min(deadline)));
+            }
+        }
+        next
+    }
 }
 
 /// The sweep loop proper. A stuck sweeper stalls timers and frame
 /// delivery for every connection on the shard, so everything reachable
 /// from here must stay nonblocking — enforced statically by the
-/// `musuite-analyze` reachability pass.
+/// `musuite-analyze` reachability pass. The one place it sleeps is
+/// `epoll_wait`, which any readiness, registration or shutdown cuts short.
 #[musuite_marker::nonblocking]
-fn run_sweeper(params: SweepParams) {
-    let SweepParams { ledger, pool, stats, live, wait_mode, idle_timeout } = params;
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut idle_streak: u32 = 0;
+fn run_sweeper(mut sweeper: Sweeper) {
+    let mut events = [Event::EMPTY; EVENT_BATCH];
+    let mut empty_waits: u32 = 0;
     loop {
-        for reg in ledger.drain() {
-            stats.record_registered();
-            live.fetch_add(1, Ordering::AcqRel);
-            conns.push(Conn {
-                stream: reg.stream,
-                acc: FrameAccumulator::new(pool.acquire()),
-                driver: reg.driver,
-                last_activity: Instant::now(),
-            });
-        }
-        if ledger.is_shutdown() {
-            for conn in conns.drain(..) {
-                close_conn(conn, CloseReason::Shutdown, &stats, &live);
-            }
-            return;
-        }
+        let next_idle = sweeper.idle_timeout.and_then(|t| sweeper.reap_idle(t));
+        let sleep = match sweeper.wait_mode {
+            WaitMode::Block => true,
+            WaitMode::Poll => false,
+            WaitMode::Adaptive => empty_waits >= ADAPTIVE_SPIN_SWEEPS,
+        };
+        let timeout = if sleep {
+            sweeper.stats.record_park();
+            next_idle.map(|d| d.saturating_duration_since(Instant::now()))
+        } else {
+            Some(Duration::ZERO)
+        };
+        let ready = sweeper.epoll.wait(&mut events, timeout).unwrap_or(0);
         let now = Instant::now();
         let mut drained: u64 = 0;
-        let mut i = 0;
-        while i < conns.len() {
-            let conn = &mut conns[i];
-            let mut frames_this_conn = 0usize;
-            let mut close = None;
-            // Fairness bound: at most `SWEEP_BUDGET` frames before moving
-            // to the shard's next connection; surplus bytes wait in the
-            // kernel buffer.
-            while frames_this_conn < SWEEP_BUDGET {
-                match conn.acc.poll_frame(&mut conn.stream) {
-                    Ok(Some((frame, rx_start_ns))) => {
-                        frames_this_conn += 1;
-                        match conn.driver.on_frame(frame, rx_start_ns) {
-                            Drive::Continue => {}
-                            Drive::Close => {
-                                close = Some(CloseReason::Disconnect);
-                                break;
-                            }
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        close = Some(CloseReason::Disconnect);
-                        break;
-                    }
-                }
-            }
-            drained += frames_this_conn as u64;
-            if frames_this_conn > 0 {
-                conn.last_activity = now;
-            } else if close.is_none() {
-                if let Some(timeout) = idle_timeout {
-                    // Never reap mid-frame: a slow-trickling peer is
-                    // active, just glacially so.
-                    if !conn.acc.mid_frame() && now.duration_since(conn.last_activity) >= timeout {
-                        close = Some(CloseReason::Idle);
-                    }
-                }
-            }
-            match close {
-                Some(reason) => {
-                    let conn = conns.swap_remove(i);
-                    close_conn(conn, reason, &stats, &live);
-                }
-                None => i += 1,
+        let mut woken = false;
+        for event in &events[..ready] {
+            match event.token() {
+                WAKE_TOKEN => woken = true,
+                slot => drained += sweeper.service(slot as usize, now) as u64,
             }
         }
-        stats.record_sweep(drained);
-        if drained > 0 {
-            idle_streak = 0;
-            continue;
+        sweeper.stats.record_sweep(drained);
+        if woken {
+            // Empty the wake socket before the ledger: a registration
+            // racing this drain leaves its byte behind for the next wait.
+            let mut sink = [0u8; 64];
+            while matches!(sweeper.wake_rx.read(&mut sink), Ok(n) if n > 0) {}
+            for reg in sweeper.ledger.drain() {
+                sweeper.adopt(reg);
+            }
+            if sweeper.ledger.is_shutdown() {
+                for slot in 0..sweeper.conns.len() {
+                    sweeper.close(slot, CloseReason::Shutdown);
+                }
+                return;
+            }
         }
-        idle_streak = idle_streak.saturating_add(1);
-        match wait_mode {
-            WaitMode::Poll => {
-                stats.record_yield();
+        if ready > 0 {
+            empty_waits = 0;
+        } else {
+            empty_waits = empty_waits.saturating_add(1);
+            if !sleep {
+                sweeper.stats.record_yield();
                 musuite_check::thread::yield_now();
-            }
-            WaitMode::Block => park(&ledger, &stats, idle_streak),
-            WaitMode::Adaptive => {
-                if idle_streak <= ADAPTIVE_SPIN_SWEEPS {
-                    stats.record_yield();
-                    musuite_check::thread::yield_now();
-                } else {
-                    park(&ledger, &stats, idle_streak - ADAPTIVE_SPIN_SWEEPS);
-                }
             }
         }
     }
-}
-
-/// Timed park with escalation: a freshly idle shard wakes after 20 µs (so
-/// request bursts pay little wakeup latency), a long-idle shard converges
-/// to 640 µs parks (so idle reactors cost ~1.5k wakeups/s, not a core).
-fn park(ledger: &Ledger<Registration>, stats: &ReactorStats, streak: u32) {
-    let shift = streak.saturating_sub(1).min(PARK_MAX_SHIFT);
-    stats.record_park();
-    ledger.park(PARK_MIN * (1 << shift));
 }
 
 #[cfg(test)]
@@ -534,8 +603,10 @@ mod tests {
                 Reactor::start(ReactorConfig { pollers: 2, wait_mode, ..ReactorConfig::default() });
             let (mut peer, reactor_side) = loopback_pair();
             let (driver, frames, _closes) = probe();
+            // Bytes queued before adoption must be reported too.
+            peer.write_all(&Frame::request(0, 3, vec![0u8; 100]).to_bytes()).unwrap();
             reactor.register(reactor_side, Box::new(driver)).unwrap();
-            for id in 0..5u64 {
+            for id in 1..5u64 {
                 peer.write_all(&Frame::request(id, 3, vec![id as u8; 100]).to_bytes()).unwrap();
             }
             for id in 0..5u64 {
@@ -546,6 +617,20 @@ mod tests {
             reactor.shutdown();
             assert_eq!(reactor.live_connections(), 0);
         }
+    }
+
+    #[test]
+    fn idle_block_shard_sleeps_until_readiness() {
+        let reactor = Reactor::start(ReactorConfig { pollers: 1, ..ReactorConfig::default() });
+        let (mut peer, reactor_side) = loopback_pair();
+        let (driver, frames, _closes) = probe();
+        reactor.register(reactor_side, Box::new(driver)).unwrap();
+        std::thread::sleep(Duration::from_millis(200));
+        let parks = reactor.stats().parks();
+        assert!(parks <= 3, "an idle Block shard parked {parks} times in 200 ms");
+        peer.write_all(&Frame::request(9, 1, Vec::new()).to_bytes()).unwrap();
+        let frame = frames.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(frame.header.request_id, 9);
     }
 
     #[test]

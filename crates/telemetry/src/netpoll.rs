@@ -3,10 +3,11 @@
 //! The paper's mid-tier (Fig. 8) drives all connections from a *fixed* set
 //! of network poller threads, and its OS-lens figures (11–14) attribute
 //! syscall traffic to that edge. When the RPC layer runs in
-//! `SharedPollers` mode, each reactor thread repeatedly *sweeps* its
-//! connection set; the counters here record how productive those sweeps
-//! are (frames drained per sweep) and how the reactor waited between empty
-//! sweeps (parks vs. yields), folding each wait into the process-wide
+//! `SharedPollers` mode, each reactor thread repeatedly waits in
+//! `epoll_wait` and *sweeps* the connections it reported ready; the
+//! counters here record how productive those sweeps are (frames drained
+//! per sweep) and how the reactor waited for readiness (sleeping waits
+//! vs. yields), folding each wait into the process-wide
 //! [`OsOp`](crate::counters::OsOp) table so the syscall-profile analogs
 //! stay honest.
 //!
@@ -61,22 +62,24 @@ impl ReactorStats {
         ReactorStats::default()
     }
 
-    /// Records one pass over a shard's connection set that drained
-    /// `frames_drained` complete frames.
+    /// Records one pass over the connections a wait reported ready, which
+    /// drained `frames_drained` complete frames.
     pub fn record_sweep(&self, frames_drained: u64) {
         self.inner.sweeps.fetch_add(1, Ordering::Relaxed);
         self.inner.frames.fetch_add(frames_drained, Ordering::Relaxed);
     }
 
-    /// Records a timed park between empty sweeps (block-based waiting).
-    /// Counted as an `epoll_pwait`-class operation: it is the reactor's
-    /// stand-in for blocking in the kernel until a socket turns readable.
+    /// Records an `epoll_wait` that may sleep — a nonzero (or infinite)
+    /// timeout: block-based waiting. Counted as one `epoll_pwait`. A
+    /// zero-timeout wait is no park; it is a sweep, plus a yield if it
+    /// found nothing.
     pub fn record_park(&self) {
         self.inner.parks.fetch_add(1, Ordering::Relaxed);
         OsOpCounters::global().incr(OsOp::EpollPwait);
     }
 
-    /// Records a CPU-yield between empty sweeps (poll-based waiting).
+    /// Records a CPU yield after a zero-timeout wait found nothing
+    /// (poll-based waiting).
     pub fn record_yield(&self) {
         self.inner.yields.fetch_add(1, Ordering::Relaxed);
         OsOpCounters::global().incr(OsOp::SchedYield);
@@ -103,12 +106,14 @@ impl ReactorStats {
         self.inner.frames.load(Ordering::Relaxed)
     }
 
-    /// Timed parks taken between empty sweeps.
+    /// `epoll_wait`s that may sleep (nonzero timeout): each is a chance
+    /// for a sweep thread to give up its CPU until a socket turns
+    /// readable, a registration arrives, or an idle deadline passes.
     pub fn parks(&self) -> u64 {
         self.inner.parks.load(Ordering::Relaxed)
     }
 
-    /// CPU yields taken between empty sweeps.
+    /// CPU yields taken after empty zero-timeout waits.
     pub fn yields(&self) -> u64 {
         self.inner.yields.load(Ordering::Relaxed)
     }

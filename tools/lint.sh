@@ -16,6 +16,8 @@
 # Suppression markers are unchanged: `// lint: allow(<rule>): <why>` on
 # the offending line or the line above. Rule ids: raw-sync, unwrap
 # (legacy alias: expect), raw-thread, lock-order, nonblocking, deadline.
+# The seventh rule, unsafe-confinement, takes no marker: `unsafe` may
+# appear only in the files its allow-list names.
 #
 # Run from anywhere; exits non-zero on any finding.
 set -euo pipefail
